@@ -90,6 +90,13 @@ EpochManager::threadRecord()
                    hw, i + 1, std::memory_order_acq_rel,
                    std::memory_order_relaxed)) {
         }
+        // Forget the domains that died since this thread last claimed
+        // a record: the lookup above runs on every guard entry and
+        // per-thread L1 access, and must not grow with the number of
+        // Memory instances a long-lived thread has outlived.
+        std::erase_if(entries, [](const EpochThreadSlots::Entry &e) {
+            return e.state.expired();
+        });
         entries.push_back(
             EpochThreadSlots::Entry{state_->serial, state_, &r});
         return r;

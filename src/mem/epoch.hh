@@ -160,6 +160,26 @@ class HICAMP_CAPABILITY("epoch") EpochManager
         Record *r = findThreadRecord();
         return r && r->nesting > 0;
     }
+
+    /**
+     * The calling thread's record slot, claimed on first use and
+     * released at thread exit: a dense index below slotBound() that a
+     * later thread reuses once this one has exited. Memory keys its
+     * per-thread L1 caches by it.
+     */
+    unsigned
+    threadSlot()
+    {
+        return static_cast<unsigned>(&threadRecord() -
+                                     state_->recs.data());
+    }
+
+    /** Exclusive bound on every slot claimed so far. */
+    unsigned
+    slotBound() const
+    {
+        return state_->highWater.load(std::memory_order_acquire);
+    }
     /// @}
 
     /// @name Write side

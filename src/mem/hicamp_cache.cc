@@ -11,10 +11,22 @@ HicampCache::HicampCache(std::uint64_t size_bytes, unsigned ways,
                          unsigned line_bytes, bool content_searchable)
     : ways_(ways), numSets_(size_bytes / (line_bytes * ways)),
       searchable_(content_searchable), entries_(numSets_ * ways_),
+      newest_(numSets_),
+      content_(content_searchable ? numSets_ * ways_ : 0),
       locks_(kLockStripes)
 {
     HICAMP_ASSERT(numSets_ > 0 && std::has_single_bit(numSets_),
                   "cache set count must be a power of two");
+}
+
+void
+HicampCache::retainContent(Entry &e, const Line *content)
+{
+    if (content && searchable_) {
+        content_[static_cast<std::size_t>(&e - entries_.data())] =
+            *content;
+        e.hasContent = true;
+    }
 }
 
 HicampCache::Access
@@ -23,20 +35,21 @@ HicampCache::access(const CacheKey &key, std::uint64_t home, bool dirty,
 {
     const std::uint64_t set = setIndex(home);
     SetGuard g(*this, set);
+    // Stamps only order accesses within this set, which is all the
+    // victim choice below compares, so the set's highest stamp plus
+    // one orders this access exactly as a cache-wide clock would.
+    const std::uint64_t stamp = ++newest_[set];
     Entry *base = &entries_[set * ways_];
     Entry *victim = base;
     for (unsigned w = 0; w < ways_; ++w) {
         Entry &e = base[w];
         if (e.valid && e.key == key) {
-            e.lru = lruClock_.fetch_add(1, std::memory_order_relaxed) + 1;
+            e.lru = stamp;
             if (dirty) {
                 e.dirty = true;
                 e.wbCat = wb_cat;
             }
-            if (content && searchable_) {
-                e.content = *content;
-                e.hasContent = true;
-            }
+            retainContent(e, content);
             ++hits;
             HICAMP_TRACE_EVENT(Cache, CacheHit, key.id, 0);
             return {true, std::nullopt};
@@ -59,14 +72,10 @@ HicampCache::access(const CacheKey &key, std::uint64_t home, bool dirty,
     victim->dirty = dirty;
     victim->key = key;
     victim->home = home;
-    victim->lru = lruClock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    victim->lru = stamp;
     victim->wbCat = wb_cat;
-    if (content && searchable_) {
-        victim->content = *content;
-        victim->hasContent = true;
-    } else {
-        victim->hasContent = false;
-    }
+    victim->hasContent = false;
+    retainContent(*victim, content);
     return result;
 }
 
@@ -78,11 +87,11 @@ HicampCache::lookupContent(const Line &content,
         return std::nullopt;
     const std::uint64_t set = setIndex(content_hash);
     SetGuard g(*this, set);
-    const Entry *base = &entries_[set * ways_];
+    const std::size_t base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w) {
-        const Entry &e = base[w];
+        const Entry &e = entries_[base + w];
         if (e.valid && e.key.kind == LineKind::Data && e.hasContent &&
-            e.content == content) {
+            content_[base + w] == content) {
             return e.key.id;
         }
     }

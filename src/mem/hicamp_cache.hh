@@ -16,13 +16,11 @@
 #ifndef HICAMP_MEM_HICAMP_CACHE_HH
 #define HICAMP_MEM_HICAMP_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "common/atomic_annotations.hh"
 #include "common/line.hh"
 
 #include "common/stats.hh"
@@ -60,10 +58,13 @@ struct CacheKey {
  * Thread-safe: sets are guarded by an array of striped spinlocks (a
  * set maps to one lock; distinct sets mostly take distinct locks), so
  * accesses to different sets — like lookups in different memory
- * buckets — proceed in parallel. Hit/miss tallies are sharded and the
- * LRU clock is a relaxed atomic. These are leaf locks in the memory
- * system's lock order (DESIGN.md §7): no other lock is ever acquired
- * while one is held.
+ * buckets — proceed in parallel. Hit/miss tallies are sharded. LRU
+ * stamps are per set: each access stamps its entry with the set's
+ * highest stamp plus one, under the set's lock, so recency is ordered
+ * within a set (all that victim selection compares) without any
+ * cache-wide clock. These are leaf locks in the memory system's lock
+ * order (DESIGN.md §7): no other lock is ever acquired while one is
+ * held.
  */
 class HicampCache
 {
@@ -131,14 +132,14 @@ class HicampCache
 
   private:
     struct Entry {
-        bool valid = false;
-        bool dirty = false;
         CacheKey key{LineKind::Data, 0};
         std::uint64_t home = 0;
+        /// recency within the set: higher is more recent
         std::uint64_t lru = 0;
+        bool valid = false;
+        bool dirty = false;
+        bool hasContent = false; ///< content_ holds this entry's line
         DramCat wbCat = DramCat::Write;
-        Line content; ///< valid for Data entries when searchable
-        bool hasContent = false;
     };
 
     /**
@@ -172,11 +173,20 @@ class HicampCache
         return home & (numSets_ - 1);
     }
 
+    /** Keep @p content as entry @p e's searchable copy (Data lines
+     *  in a content-searchable cache only). */
+    void retainContent(Entry &e, const Line *content)
+        HICAMP_REQUIRES(locks_);
+
     unsigned ways_;
     std::uint64_t numSets_;
     bool searchable_;
-    HICAMP_ATOMIC_COUNTER std::atomic<std::uint64_t> lruClock_{0};
     std::vector<Entry> entries_ HICAMP_GUARDED_BY(locks_);
+    /// each set's highest LRU stamp (that of its latest access)
+    std::vector<std::uint64_t> newest_ HICAMP_GUARDED_BY(locks_);
+    /// line content parallel to entries_; allocated only when
+    /// content-searchable, so a read-only L1 carries no line copies
+    std::vector<Line> content_ HICAMP_GUARDED_BY(locks_);
     mutable SpinBank locks_;
 };
 

@@ -1,5 +1,6 @@
 #include "mem/memory.hh"
 
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -21,8 +22,6 @@ Memory::Memory(const MemoryConfig &cfg)
                                cfg.refcountBits, cfg.epochReclaim,
                                cfg.epochBatchSize},
              cfg.lockStripes),
-      l1_(cfg.l1Bytes, cfg.l1Ways, cfg.lineBytes,
-          /*content_searchable=*/false),
       l2_(cfg.l2Bytes, cfg.l2Ways, cfg.lineBytes,
           /*content_searchable=*/true),
       faults_(cfg.faults.allowEnvOverride
@@ -32,9 +31,7 @@ Memory::Memory(const MemoryConfig &cfg)
     HICAMP_ASSERT(cfg.lineBytes == 16 || cfg.lineBytes == 32 ||
                       cfg.lineBytes == 64,
                   "line size must be 16, 32 or 64 bytes");
-    bankActs_.reset(new std::atomic<std::uint64_t>[store_.numStripes()]);
-    for (unsigned s = 0; s < store_.numStripes(); ++s)
-        bankActs_[s].store(0, std::memory_order_relaxed);
+    bankActs_ = std::make_unique<ShardedCounter[]>(store_.numStripes());
     pressure_.add("oom_events", &oomEvents_);
     pressure_.add("flips_recovered", &flipsRecovered_);
     pressure_.add("flips_silent", &flipsSilent_);
@@ -52,6 +49,45 @@ Memory::~Memory()
     // the remaining limbo and would fire the observer into the freed
     // histogram. Detach it first; the final drains go unobserved.
     store_.epochDomain().setGraceObserver({});
+}
+
+Memory::L1Table::~L1Table()
+{
+    for (auto &l1 : bySlot)
+        delete l1.load(std::memory_order_acquire);
+}
+
+HicampCache &
+Memory::threadL1()
+{
+    const unsigned slot = store_.epochDomain().threadSlot();
+    HicampCache *l1 = l1s_.bySlot[slot].load(std::memory_order_acquire);
+    if (!l1) {
+        // Only the slot's owner fills it, so a plain store suffices;
+        // release publishes the built cache to fan-out walkers.
+        l1 = new HicampCache(cfg_.l1Bytes, cfg_.l1Ways, cfg_.lineBytes,
+                             /*content_searchable=*/false);
+        l1s_.bySlot[slot].store(l1, std::memory_order_release);
+    }
+    return *l1;
+}
+
+unsigned
+Memory::l1Count() const
+{
+    unsigned n = 0;
+    forEachL1([&n](HicampCache &) { ++n; });
+    return n;
+}
+
+unsigned
+Memory::l1Copies(Plid plid) const
+{
+    const CacheKey key{LineKind::Data, plid};
+    const std::uint64_t home = store_.bucketOfPlid(plid);
+    unsigned n = 0;
+    forEachL1([&](HicampCache &l1) { n += l1.contains(key, home); });
+    return n;
 }
 
 void
@@ -83,8 +119,24 @@ Memory::registerMetrics()
     metrics_.addCounter("errors_detected", &errorsDetected_);
     metrics_.addCounter("row_activations", &rowActs_);
 
-    metrics_.addCounter("cache.l1.hits", &l1_.hits);
-    metrics_.addCounter("cache.l1.misses", &l1_.misses);
+    // cache.l1.* sum the per-thread L1s. An L1 lives as long as this
+    // Memory (a recycled slot keeps its L1 and tallies), so the sums
+    // never go backwards between resets.
+    for (auto [name, tally] :
+         {std::pair{"cache.l1.hits", &HicampCache::hits},
+          std::pair{"cache.l1.misses", &HicampCache::misses}}) {
+        metrics_.addCounter(
+            name,
+            [this, tally] {
+                std::uint64_t sum = 0;
+                forEachL1(
+                    [&](HicampCache &l1) { sum += (l1.*tally).value(); });
+                return sum;
+            },
+            [this, tally] {
+                forEachL1([&](HicampCache &l1) { (l1.*tally).reset(); });
+            });
+    }
     metrics_.addCounter("cache.l2.hits", &l2_.hits);
     metrics_.addCounter("cache.l2.misses", &l2_.misses);
 
@@ -129,8 +181,7 @@ void
 Memory::bankTouch(std::uint64_t home, std::uint64_t n)
 {
     rowActs_ += n;
-    bankActs_[store_.stripeOfBucket(home)].fetch_add(
-        n, std::memory_order_relaxed);
+    bankActs_[store_.stripeOfBucket(home)] += n;
 }
 
 bool
@@ -328,7 +379,7 @@ Memory::modelLineFetch(Plid plid, std::uint64_t home,
                        const Line &content, DramCat cat)
 {
     const CacheKey key{LineKind::Data, plid};
-    auto a1 = l1_.access(key, home, /*dirty=*/false, cat);
+    auto a1 = threadL1().access(key, home, /*dirty=*/false, cat);
     if (a1.writeback) {
         // Only transient lines are ever dirty in L1; spill into L2
         // (full-line write: no fetch needed).
@@ -508,10 +559,13 @@ Memory::reclaim(Plid first)
             }
         }
 
-        // Invalidate in all caches; a dirty (never-written) line's
-        // writeback is cancelled outright.
-        l1_.invalidate({LineKind::Data, p}, retired->homeBucket);
-        l2_.invalidate({LineKind::Data, p}, retired->homeBucket);
+        // Invalidate in every L1 and the L2; a dirty (never-written)
+        // line's writeback is cancelled outright.
+        const CacheKey key{LineKind::Data, p};
+        forEachL1([&](HicampCache &l1) {
+            l1.invalidate(key, retired->homeBucket);
+        });
+        l2_.invalidate(key, retired->homeBucket);
 
         // Clear the signature: mark the bucket's signature line dirty.
         auto sig = l2_.access({LineKind::Sig, retired->homeBucket},
@@ -556,7 +610,7 @@ Memory::transientAccess(std::uint64_t transient_id, bool write)
     HICAMP_TRACE_EVENT(Mem, Transient, transient_id, cfg_.lineBytes);
     const CacheKey key{LineKind::Transient, transient_id};
     const std::uint64_t home = mix64(transient_id);
-    auto a1 = l1_.access(key, home, write, DramCat::Write);
+    auto a1 = threadL1().access(key, home, write, DramCat::Write);
     if (a1.writeback) {
         auto spill = l2_.access(a1.victimKey, a1.victimHome,
                                 /*dirty=*/true, *a1.writeback);
@@ -579,7 +633,7 @@ Memory::invalidateTransient(std::uint64_t transient_id)
     auto g = guard();
     const CacheKey key{LineKind::Transient, transient_id};
     const std::uint64_t home = mix64(transient_id);
-    l1_.invalidate(key, home);
+    forEachL1([&](HicampCache &l1) { l1.invalidate(key, home); });
     l2_.invalidate(key, home);
 }
 
@@ -625,9 +679,11 @@ Memory::resetTraffic()
     deallocs_.reset();
     rowActs_.reset();
     for (unsigned s = 0; s < store_.numStripes(); ++s)
-        bankActs_[s].store(0, std::memory_order_relaxed);
-    l1_.hits.reset();
-    l1_.misses.reset();
+        bankActs_[s].reset();
+    forEachL1([](HicampCache &l1) {
+        l1.hits.reset();
+        l1.misses.reset();
+    });
     l2_.hits.reset();
     l2_.misses.reset();
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * The HICAMP memory system facade: deduplicating line store + two-level
- * HICAMP cache + DRAM traffic attribution. All higher layers (segments,
- * iterator registers, the virtual segment map, the programming model)
- * perform their line traffic through this class so that every simulated
- * DRAM access lands in the right Figure-6 category.
+ * HICAMP cache (a private L1 per thread over one shared L2) + DRAM
+ * traffic attribution. All higher layers (segments, iterator
+ * registers, the virtual segment map, the programming model) perform
+ * their line traffic through this class so that every simulated DRAM
+ * access lands in the right Figure-6 category.
  *
  * Reference-count discipline: every PLID value held by the model —
  * inside a committed line, in a segment-map root, or in a snapshot
@@ -104,7 +105,9 @@ struct MemoryConfig {
  * DESIGN.md §7 for the full concurrency model and lock order. The
  * paper's architecture needs no data-line coherence because lines are
  * immutable; the sharding here is the software analogue of its
- * per-bucket DRAM parallelism.
+ * per-bucket DRAM parallelism. Likewise every thread reads through its
+ * own L1 over the one shared L2 (DESIGN.md §4.6), and only
+ * deallocation reaches into other threads' L1s, to invalidate.
  */
 class Memory
 {
@@ -242,8 +245,20 @@ class Memory
     const DramStats &dram() const { return dram_; }
     LineStore &store() { return store_; }
     const LineStore &store() const { return store_; }
-    HicampCache &l1() { return l1_; }
-    HicampCache &l2() { return l2_; }
+
+    /**
+     * Per-thread L1 caches created so far: one per epoch-record slot
+     * whose thread has touched memory. A slot's L1 outlives its
+     * thread and passes to the next thread that claims the slot, so
+     * this stays bounded by the threads alive at once.
+     */
+    unsigned l1Count() const;
+
+    /**
+     * How many L1 caches hold data line @p plid (diagnostic; @p plid
+     * must be live or a home-bucket line).
+     */
+    unsigned l1Copies(Plid plid) const;
 
     std::uint64_t liveLines() const { return store_.liveLines(); }
     std::uint64_t liveBytes() const { return store_.liveBytes(); }
@@ -284,7 +299,7 @@ class Memory
     std::uint64_t
     bankActivations(unsigned stripe) const
     {
-        return bankActs_[stripe].load(std::memory_order_relaxed);
+        return bankActs_[stripe].value();
     }
 
     /** Activations of the hottest bank (the bank-parallel critical path). */
@@ -356,7 +371,7 @@ class Memory
     flushAndResetTraffic()
     {
         auto g = guard();
-        l1_.cleanAll();
+        forEachL1([](HicampCache &l1) { l1.cleanAll(); });
         l2_.cleanAll();
         resetTraffic();
     }
@@ -372,7 +387,7 @@ class Memory
     flushTraffic()
     {
         auto g = guard();
-        l1_.cleanAll();
+        forEachL1([](HicampCache &l1) { l1.cleanAll(); });
         l2_.cleanAll();
     }
 
@@ -385,7 +400,7 @@ class Memory
     coldResetTraffic()
     {
         auto g = guard();
-        l1_.invalidateAll();
+        forEachL1([](HicampCache &l1) { l1.invalidateAll(); });
         l2_.invalidateAll();
         resetTraffic();
     }
@@ -400,7 +415,7 @@ class Memory
     coldCaches()
     {
         auto g = guard();
-        l1_.invalidateAll();
+        forEachL1([](HicampCache &l1) { l1.invalidateAll(); });
         l2_.invalidateAll();
     }
     /// @}
@@ -426,6 +441,22 @@ class Memory
         HICAMP_EXCLUDES(lockrank::vsm);
     HICAMP_REF_PRIMITIVE void reclaim(Plid plid)
         HICAMP_EXCLUDES(lockrank::vsm);
+    /** The calling thread's private L1, created on its first access
+     *  (DESIGN.md §4.6). */
+    HicampCache &threadL1();
+
+    /** Visit every per-thread L1 created so far. */
+    template <class Fn>
+    void
+    forEachL1(Fn &&fn) const
+    {
+        const unsigned bound = store_.epochDomain().slotBound();
+        for (unsigned s = 0; s < bound; ++s)
+            if (HicampCache *c = l1s_.bySlot[s].load(
+                    std::memory_order_acquire))
+                fn(*c);
+    }
+
     /** Model a line fetch through L1/L2/DRAM, with §3.1 checking. */
     void modelLineFetch(Plid plid, std::uint64_t home,
                         const Line &content, DramCat cat);
@@ -435,9 +466,29 @@ class Memory
     /** Count @p n row activations against @p home's DRAM bank. */
     void bankTouch(std::uint64_t home, std::uint64_t n = 1);
 
+    /**
+     * One private L1 per registered thread, the paper's per-processor
+     * cache, indexed by the thread's epoch-record slot in store_'s
+     * domain. Only a slot's current owner fills it (with a release
+     * store, on its first access), and a thread that later claims
+     * the slot inherits the L1, hits and misses included. Other
+     * threads reach an L1 only through this table, to fan out
+     * invalidations, flush or sum the tallies. Declared before
+     * metrics_ so the caches outlive the registry's callbacks.
+     */
+    struct L1Table {
+        HICAMP_ATOMIC_PUBLISH std::atomic<HicampCache *>
+            bySlot[EpochManager::kMaxRecords] = {};
+
+        L1Table() = default;
+        L1Table(const L1Table &) = delete;
+        L1Table &operator=(const L1Table &) = delete;
+        ~L1Table();
+    };
+
     MemoryConfig cfg_;
     LineStore store_;
-    HicampCache l1_;
+    L1Table l1s_;
     HicampCache l2_;
     DramStats dram_;
     std::function<void(Vsid)> vsidRelease_;
@@ -455,8 +506,7 @@ class Memory
     ShardedCounter dedupHits_;
     ShardedCounter overflowWalks_;
     /// per-bank (= per-stripe) share of rowActs_, for the scaling model
-    HICAMP_ATOMIC_COUNTER std::unique_ptr<std::atomic<std::uint64_t>[]>
-        bankActs_;
+    std::unique_ptr<ShardedCounter[]> bankActs_;
 
     FaultInjector faults_;
     ContentionStats contention_;

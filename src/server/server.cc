@@ -431,6 +431,10 @@ McServer::drainCompletions()
         if (c->fd < 0)
             continue; // closed while the batch was in flight
         flushOut(c);
+        // Input parsing stops at maxPending; commands still buffered
+        // then arrive with no further socket read to wake the parser,
+        // so resume it here, where the finished batch freed room.
+        parseAndStage(c);
         dispatch(c);
         maybeFinish(c);
     }

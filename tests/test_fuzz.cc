@@ -19,7 +19,10 @@ namespace hicamp {
 namespace {
 
 struct FuzzCase {
-    unsigned lineBytes;
+    /// 64-bit so the struct has no padding: gtest names each case after
+    /// the raw bytes of its parameter, and uninitialized padding made
+    /// those names change from run to run.
+    std::uint64_t lineBytes;
     std::uint64_t seed;
     /// P(fresh allocation fails) for the fault-injected variants
     double allocP = 0.0;
@@ -31,7 +34,7 @@ class IteratorFuzz : public ::testing::TestWithParam<FuzzCase>
 TEST_P(IteratorFuzz, MatchesShadowModel)
 {
     MemoryConfig cfg;
-    cfg.lineBytes = GetParam().lineBytes;
+    cfg.lineBytes = static_cast<unsigned>(GetParam().lineBytes);
     cfg.numBuckets = 1 << 13;
     cfg.faults.allocFailP = GetParam().allocP;
     cfg.faults.seed = GetParam().seed * 31 + 7;
@@ -182,7 +185,7 @@ class CanonicalFuzz : public ::testing::TestWithParam<FuzzCase>
 TEST_P(CanonicalFuzz, OrderIndependentRoots)
 {
     MemoryConfig cfg;
-    cfg.lineBytes = GetParam().lineBytes;
+    cfg.lineBytes = static_cast<unsigned>(GetParam().lineBytes);
     cfg.numBuckets = 1 << 12;
     // The bare setWord chains below have no retry boundary, so a
     // suite-wide injected allocation failure would abort the

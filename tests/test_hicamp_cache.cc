@@ -132,5 +132,46 @@ TEST(HicampCacheUnit, HitRefreshesLru)
     EXPECT_FALSE(c.contains({LineKind::Data, 2}, 8));
 }
 
+TEST(HicampCacheUnit, VictimOrderOverFullSetWithHitsAndInvalidates)
+{
+    // 4 sets x 4 ways: homes 0, 4, 8, ... all land in set 0. Every
+    // fill is dirty, so each eviction names its victim.
+    HicampCache c(256, 4, 16, false);
+    auto fill = [&c](std::uint64_t id) {
+        return c.access({LineKind::Data, id}, 4 * id, true, DramCat::Write);
+    };
+    auto victimOf = [](const HicampCache::Access &a) -> std::uint64_t {
+        EXPECT_FALSE(a.hit);
+        return a.writeback ? a.victimKey.id : 0; // 0: filled a free way
+    };
+    for (std::uint64_t id = 1; id <= 4; ++id)
+        EXPECT_EQ(victimOf(fill(id)), 0u);
+    // Traffic in other sets must not disturb set 0's order.
+    c.access({LineKind::Data, 100}, 1, false, DramCat::Read);
+    EXPECT_TRUE(fill(2).hit);
+    EXPECT_TRUE(fill(1).hit);                   // LRU..MRU: 3 4 2 1
+    c.access({LineKind::Data, 101}, 2, false, DramCat::Read);
+    EXPECT_EQ(victimOf(fill(5)), 3u);           // 4 2 1 5
+    EXPECT_TRUE(c.invalidate({LineKind::Data, 4}, 16));
+    EXPECT_EQ(victimOf(fill(6)), 0u);           // reuses 4's way: 2 1 5 6
+    EXPECT_TRUE(fill(5).hit);                   // 2 1 6 5
+    EXPECT_EQ(victimOf(fill(7)), 2u);           // 1 6 5 7
+    EXPECT_EQ(victimOf(fill(8)), 1u);           // 6 5 7 8
+    EXPECT_TRUE(fill(6).hit);                   // 5 7 8 6
+    EXPECT_TRUE(c.invalidate({LineKind::Data, 7}, 28));
+    EXPECT_TRUE(c.invalidate({LineKind::Data, 8}, 32));
+    EXPECT_EQ(victimOf(fill(9)), 0u);
+    EXPECT_EQ(victimOf(fill(10)), 0u);          // 5 6 9 10
+    EXPECT_FALSE(c.invalidate({LineKind::Data, 7}, 28)); // already gone
+    EXPECT_EQ(victimOf(fill(11)), 5u);          // 6 9 10 11
+    EXPECT_TRUE(fill(9).hit);                   // 6 10 11 9
+    EXPECT_EQ(victimOf(fill(12)), 6u);
+    EXPECT_EQ(victimOf(fill(13)), 10u);
+    for (std::uint64_t id : {9, 11, 12, 13})
+        EXPECT_TRUE(c.contains({LineKind::Data, id}, 4 * id)) << id;
+    EXPECT_TRUE(c.contains({LineKind::Data, 100}, 1));
+    EXPECT_TRUE(c.contains({LineKind::Data, 101}, 2));
+}
+
 } // namespace
 } // namespace hicamp

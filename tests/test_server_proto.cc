@@ -362,6 +362,36 @@ TEST(ServerProto, EndToEndQuitMidPipeline)
     expectCleanAudit(f.hc);
 }
 
+TEST(ServerProto, EndToEndBufferedCommandsBeyondPendingCapAnswered)
+{
+    // Twenty GETs in one write against a pending cap of 8: the server
+    // reads all of them at once but parses only 8. The client then
+    // goes quiet, so no later socket read can wake the parser; the
+    // rest must be parsed as completions free room.
+    Hicamp hc(ServerFixture::smallConfig());
+    McStore store(hc);
+    ServerConfig sc = ServerFixture::config(2);
+    sc.maxPending = 8;
+    McServer srv(store, sc);
+    srv.start();
+    store.set("k", 0, "v");
+    const std::string reply = "VALUE k 0 1\r\nv\r\nEND\r\n";
+    {
+        TestClient cli(srv.port());
+        std::string script;
+        for (int i = 0; i < 20; ++i)
+            script += "get k\r\n";
+        cli.send(script);
+        std::string want;
+        for (int i = 0; i < 20; ++i)
+            want += reply;
+        // recvN gives up after the client's 5 s receive timeout.
+        EXPECT_EQ(cli.recvN(want.size()), want);
+    }
+    srv.stop();
+    expectCleanAudit(hc);
+}
+
 TEST(ServerProto, EndToEndGarbageKeepsConnectionUsable)
 {
     ServerFixture f;
