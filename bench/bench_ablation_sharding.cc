@@ -18,35 +18,6 @@
 
 using namespace hicamp;
 
-namespace {
-
-struct Result {
-    std::uint64_t merges;
-    std::uint64_t trueConflicts;
-};
-
-/**
- * Drive @p rounds pairs of racing sets: A and B both snapshot, both
- * commit; B's commit is always stale and must merge (or conflict when
- * it hits the same slot).
- */
-Result
-race(Hicamp &hc, const std::function<void(int, int)> &set_fn, int rounds)
-{
-    std::uint64_t m0 = hc.vsm.mergeCommits();
-    std::uint64_t f0 = hc.vsm.mergeFailures();
-    for (int i = 0; i < rounds; ++i) {
-        // Two "threads" writing different keys back to back; the
-        // segment-map CAS sees the second as stale whenever the keys
-        // share a shard.
-        set_fn(i, 0);
-        set_fn(i, 1);
-    }
-    return {hc.vsm.mergeCommits() - m0, hc.vsm.mergeFailures() - f0};
-}
-
-} // namespace
-
 int
 main()
 {

@@ -221,20 +221,24 @@ runMixed(const std::string &mode, int threads, int keys, int rounds)
         for (int t = 0; t < threads; ++t) {
             ts.emplace_back([&, t] {
                 Rng rng(1000 + t); // same stream in all modes
+                // Counted locally and stored once: adjacent ops[]
+                // slots share a host cache line.
+                std::uint64_t n = 0;
                 for (int r = 0; r < rounds; ++r) {
                     for (int g = 0; g < 10; ++g) {
                         map.get(HString(
                             hc,
                             "key-" + std::to_string(rng.below(keys))));
-                        ++ops[t];
+                        ++n;
                     }
                     map.set(HString(hc,
                                     "key-" +
                                         std::to_string(rng.below(keys))),
                             HString(hc, "update-" + std::to_string(t) +
                                             "-" + std::to_string(r)));
-                    ++ops[t];
+                    ++n;
                 }
+                ops[t] = n;
             });
         }
         for (auto &th : ts)
@@ -295,6 +299,7 @@ runSpmvTiles(const std::string &mode, int threads, int tile_words,
                 SegReader reader(hc.mem);
                 std::vector<Word> w;
                 std::vector<WordMeta> m;
+                std::uint64_t n = 0, sum = 0; // stored once, see runMixed
                 for (int p = 0; p < passes; ++p) {
                     SegDesc snap = hc.vsm.snapshot(tiles[t]->vsid());
                     w.clear();
@@ -303,10 +308,12 @@ runSpmvTiles(const std::string &mode, int threads, int tile_words,
                     std::uint64_t dot = 0;
                     for (int i = 0; i < tile_words; ++i)
                         dot += w[i] * ((i & 7) + 1); // dense vector
-                    sums[t] += dot;
-                    ops[t] += tile_words;
+                    sum += dot;
+                    n += tile_words;
                     hc.vsm.releaseSnapshot(snap);
                 }
+                ops[t] = n;
+                sums[t] = sum;
             });
         }
         for (auto &th : ts)
@@ -370,19 +377,21 @@ runReadLookup(const std::string &mode, int threads, int keys, int rounds)
     for (int t = 0; t < threads; ++t) {
         ts.emplace_back([&, t] {
             Rng rng(7000 + t); // same stream in all modes
+            std::uint64_t n = 0; // stored once, see runMixed
             for (int r = 0; r < rounds; ++r) {
                 for (int g = 0; g < 5; ++g) {
                     (void)mem.readLine(plids[rng.below(keys)]);
-                    ++ops[t];
+                    ++n;
                 }
                 for (int g = 0; g < 5; ++g) {
                     const Plid p =
                         mem.lookup(contentOf(static_cast<int>(
                             rng.below(keys))));
                     mem.decRef(p); // setup ref keeps the line live
-                    ++ops[t];
+                    ++n;
                 }
             }
+            ops[t] = n;
         });
     }
     for (auto &th : ts)

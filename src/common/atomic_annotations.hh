@@ -39,6 +39,14 @@
  *    it is used lock-shaped, the acquire/release pairing must be
  *    complete: `test_and_set` at least acquire, `clear` release, and
  *    a release store somewhere requires an acquire-side read.
+ *  - `HICAMP_ATOMIC_PARK`: the announcement word of a spin-then-park
+ *    handshake (DESIGN.md §14), the sleeper's half of a Dekker pair:
+ *    the sleeper announces, fences, and re-checks its queue; the
+ *    waker publishes work, fences, and checks the word.  Only
+ *    `primitive()` functions may touch it.  An announce (a seq_cst
+ *    store or RMW) must be followed directly by a seq_cst fence, and
+ *    a waker's load directly preceded by one; relaxed retracts and
+ *    claims need no fence (the wakeup syscall carries the edge).
  *
  * `tools/analyze/atomic_check.py` reads these annotations (by macro
  * name, so the checker works under any compiler), classifies every
@@ -85,5 +93,8 @@
 
 /** Standalone state word: all-relaxed or complete acquire/release. */
 #define HICAMP_ATOMIC_FLAG HICAMP_ATOMIC_ANNOTATE("hicamp::atomic_flag")
+
+/** Park announcement: primitive-only, announce and check fenced. */
+#define HICAMP_ATOMIC_PARK HICAMP_ATOMIC_ANNOTATE("hicamp::atomic_park")
 
 #endif // HICAMP_COMMON_ATOMIC_ANNOTATIONS_HH

@@ -105,6 +105,17 @@ class DramStats
         return counts_[static_cast<unsigned>(cat)].value();
     }
 
+    /**
+     * get() without the quiescence check: the metrics registry's
+     * reading, which may run while memory ops are in flight (a live
+     * server's `stats`). Monotone, exact only at quiescent points.
+     */
+    std::uint64_t
+    sample(DramCat cat) const
+    {
+        return counts_[static_cast<unsigned>(cat)].value();
+    }
+
     std::uint64_t reads() const { return get(DramCat::Read); }
     std::uint64_t writes() const { return get(DramCat::Write); }
     std::uint64_t lookups() const { return get(DramCat::Lookup); }

@@ -106,7 +106,7 @@ Memory::registerMetrics()
     };
     for (const auto &[cat, name] : kCats) {
         DramCat c = cat;
-        metrics_.addCounter(name, [this, c] { return dram_.get(c); },
+        metrics_.addCounter(name, [this, c] { return dram_.sample(c); },
                             [this, c] { dram_.resetCat(c); });
     }
 

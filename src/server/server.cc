@@ -11,9 +11,12 @@
  *    responses against McStore, and only then take the connection's
  *    output lock (terminal `lockrank::server` rank) to append — the
  *    lock is held for a memcpy, never across a heap call.
- *  - An eventfd is the only worker→net signal; the request ring full
- *    is the only net→worker backpressure (the connection's batch
- *    stays staged and its socket stops being polled for reads).
+ *  - Idle threads spin for kIdleWindow, then park (server/park.hh).
+ *    The net thread notifies a parked worker after a push; a worker
+ *    writes the eventfd only when the net thread is parked. The
+ *    request ring full is the only net→worker backpressure (the
+ *    connection's batch stays staged and its socket stops being
+ *    polled for reads).
  */
 
 #include "server/server.hh"
@@ -21,6 +24,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -74,20 +78,14 @@ struct McServer::Conn {
 
 namespace {
 
-/** Worker idle path: spin briefly, then yield, then doze — keeps the
- *  pop latency low under load without burning a core when idle. */
-void
-idleBackoff(unsigned &idle)
-{
-    ++idle;
-    if (idle < 64)
-        return;
-    if (idle < 512) {
-        std::this_thread::yield();
-        return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-}
+using Clock = std::chrono::steady_clock;
+
+/// A parked net thread's epoll timeout: a safety net only, since
+/// every completion it must see wakes it through the eventfd.
+constexpr int kParkTimeoutMs = 100;
+
+/// How long stop() waits for in-flight batches before closing.
+constexpr auto kDrainBound = std::chrono::seconds(2);
 
 } // namespace
 
@@ -106,6 +104,10 @@ McServer::Stats::Stats(obs::MetricsRegistry &m)
       bytesIn(m.counter("server.bytes.in")),
       bytesOut(m.counter("server.bytes.out")),
       stalls(m.counter("server.backpressure.stalls")),
+      workerParks(m.counter("server.worker.parks")),
+      workerWakes(m.counter("server.worker.wakes")),
+      netParks(m.counter("server.net.parks")),
+      eventfdWrites(m.counter("server.net.eventfd_writes")),
       batchCmds(m.histogram("server.batch.cmds"))
 {
 }
@@ -192,8 +194,11 @@ McServer::stop()
     if (netThread_.joinable())
         netThread_.join();
     // The net thread drained every in-flight batch before exiting, so
-    // the request ring is empty: workers park on the stop flag only.
+    // the request ring is empty: workers wait on the stop flag only.
+    // The wake's futex-word bump carries the clear to parked
+    // re-checks.
     workersRun_.store(false, std::memory_order_relaxed);
+    workerPark_.wakeAll();
     for (auto &w : workers_)
         if (w.joinable())
             w.join();
@@ -210,11 +215,21 @@ McServer::wakeNet()
 {
     if (eventFd_ < 0)
         return;
+    // Counted before the write, so a reply the write releases never
+    // reaches a client ahead of its count.
+    st_.eventfdWrites++;
     const std::uint64_t one = 1;
-    // The write syscall is the ordering point the relaxed lifecycle
-    // flags lean on; a full eventfd counter (impossible here) or
-    // EINTR would only mean the net thread is already awake.
+    // A full eventfd counter (impossible here) or EINTR would only
+    // mean the net thread is already awake.
     [[maybe_unused]] ssize_t n = ::write(eventFd_, &one, sizeof one);
+}
+
+void
+McServer::clearWakeups()
+{
+    std::uint64_t tick;
+    while (::read(eventFd_, &tick, sizeof tick) > 0) {
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -226,15 +241,36 @@ McServer::netLoop()
 {
     constexpr int kMaxEvents = 64;
     epoll_event evs[kMaxEvents];
+    auto idleFrom = Clock::now();
     while (running_.load(std::memory_order_relaxed)) {
-        // The timeout is a safety net only; eventfd provides prompt
-        // wakeups for completions and stop().
-        const int n = ::epoll_wait(epollFd_, evs, kMaxEvents, 100);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
+        // Completions and deferred batches are handled on every turn;
+        // the eventfd only wakes a parked loop.
+        bool worked = drainCompletions();
+        retryDeferred();
+        // Poll without blocking through the idle window, then park:
+        // announce, re-check the completion ring, and block only if
+        // it is still empty. A worker that pushes after the re-check
+        // sees the announcement and writes the eventfd.
+        int timeoutMs = 0;
+        if (!worked && Clock::now() - idleFrom >= kIdleWindow) {
+            netPark_.announce();
+            if (drainCompletions()) {
+                netPark_.retract();
+                worked = true;
+            } else {
+                timeoutMs = kParkTimeoutMs;
+                st_.netParks++;
+            }
         }
+        const int n = ::epoll_wait(epollFd_, evs, kMaxEvents, timeoutMs);
+        if (timeoutMs != 0)
+            netPark_.retract();
+        if (n < 0 && errno != EINTR)
+            break;
+        if (n > 0 || worked)
+            idleFrom = Clock::now();
+        else if (timeoutMs == 0)
+            std::this_thread::yield(); // a worker may share this CPU
         for (int i = 0; i < n; ++i) {
             const int fd = evs[i].data.fd;
             if (fd == listenFd_) {
@@ -242,11 +278,7 @@ McServer::netLoop()
                 continue;
             }
             if (fd == eventFd_) {
-                std::uint64_t tick;
-                while (::read(eventFd_, &tick, sizeof tick) > 0) {
-                }
-                drainCompletions();
-                retryDeferred();
+                clearWakeups(); // the next turn drains completions
                 continue;
             }
             auto itc = conns_.find(fd);
@@ -384,6 +416,8 @@ McServer::tryDispatch(const ConnPtr &c)
     if (requests_->tryPush(std::move(b))) {
         c->inFlight = true;
         st_.batchCmds.record(sz);
+        if (workerPark_.wakeOne())
+            st_.workerWakes++;
         return true;
     }
     // Ring full: tryPush left the batch intact — keep it staged and
@@ -421,11 +455,13 @@ McServer::retryDeferred()
     }
 }
 
-void
+bool
 McServer::drainCompletions()
 {
+    bool any = false;
     Completion comp;
     while (completions_->tryPop(comp)) {
+        any = true;
         const ConnPtr c = std::move(comp.conn);
         c->inFlight = false;
         if (c->fd < 0)
@@ -438,6 +474,7 @@ McServer::drainCompletions()
         dispatch(c);
         maybeFinish(c);
     }
+    return any;
 }
 
 void
@@ -541,8 +578,11 @@ void
 McServer::drainOnStop()
 {
     // Answer work already accepted: wait (bounded) for in-flight
-    // batches, flushing as completions land.
-    for (int spin = 0; spin < 200; ++spin) {
+    // batches, flushing as completions land. Waiting uses the main
+    // loop's announce-and-re-check, so the last completion's eventfd
+    // write ends the wait at once.
+    const auto deadline = Clock::now() + kDrainBound;
+    for (;;) {
         drainCompletions();
         bool busy = false;
         for (const auto &[fd, c] : conns_)
@@ -550,13 +590,15 @@ McServer::drainOnStop()
                 busy = true;
                 break;
             }
-        if (!busy)
+        if (!busy || Clock::now() >= deadline)
             break;
-        epoll_event ev;
-        ::epoll_wait(epollFd_, &ev, 1, 10);
-        std::uint64_t tick;
-        while (::read(eventFd_, &tick, sizeof tick) > 0) {
+        netPark_.announce();
+        if (!drainCompletions()) {
+            pollfd p{eventFd_, POLLIN, 0};
+            ::poll(&p, 1, kParkTimeoutMs);
         }
+        netPark_.retract();
+        clearWakeups();
     }
     std::vector<ConnPtr> open;
     open.reserve(conns_.size());
@@ -582,19 +624,10 @@ McServer::workerLoop(unsigned)
     // cannot tear. The register's references die with this scope, so
     // worker exit leaves the heap audit-clean.
     IteratorRegister it(store_.heap().mem, store_.heap().vsm);
-    unsigned idle = 0;
     for (;;) {
         Batch b;
-        if (!requests_->tryPop(b)) {
-            // stop() only clears the flag after the net thread has
-            // drained every in-flight batch, so flag-clear implies an
-            // empty ring: no final re-check needed.
-            if (!workersRun_.load(std::memory_order_relaxed))
-                break;
-            idleBackoff(idle);
-            continue;
-        }
-        idle = 0;
+        if (!nextBatch(b))
+            break;
         std::string resp;
         for (const McCommand &cmd : b.cmds)
             execute(cmd, it, resp);
@@ -611,7 +644,39 @@ McServer::workerLoop(unsigned)
         HICAMP_ASSERT(pushed,
                       "completion ring overflow: sized >= maxConns, "
                       "one in-flight batch per connection");
-        wakeNet();
+        if (netPark_.claim())
+            wakeNet();
+    }
+}
+
+bool
+McServer::nextBatch(Batch &b)
+{
+    // stop() only clears the flag after the net thread has drained
+    // every in-flight batch, so flag-clear implies an empty ring.
+    const auto stopping = [this] {
+        return !workersRun_.load(std::memory_order_relaxed);
+    };
+    const auto idleFrom = Clock::now();
+    for (;;) {
+        if (requests_->tryPop(b))
+            return true;
+        if (stopping())
+            return false;
+        if (Clock::now() - idleFrom < kIdleWindow) {
+            std::this_thread::yield();
+            continue;
+        }
+        // Park: the re-check runs after the announcement, so a push
+        // it misses sees the announcement and wakes a sleeper.
+        workerPark_.park([&] {
+            if (requests_->tryPop(b) || stopping())
+                return true;
+            st_.workerParks++;
+            return false;
+        });
+        if (b.conn)
+            return true;
     }
 }
 
@@ -715,27 +780,9 @@ McServer::execute(const McCommand &cmd, IteratorRegister &it,
             resp += line;
         break;
       }
-      case Op::Stats: {
-        const auto stat = [&resp](std::string_view k,
-                                  std::uint64_t v) {
-            resp += "STAT ";
-            resp += k;
-            resp += ' ';
-            resp += std::to_string(v);
-            resp += "\r\n";
-        };
-        stat("cmd_get", st_.cmdGet.value());
-        stat("cmd_set", st_.cmdSet.value());
-        stat("get_hits", st_.hits.value());
-        stat("get_misses", st_.misses.value());
-        stat("oom_errors", st_.oom.value());
-        stat("bytes_read", st_.bytesIn.value());
-        stat("bytes_written", st_.bytesOut.value());
-        stat("curr_connections",
-             connsOpen_.load(std::memory_order_relaxed));
-        resp += resp::kEnd;
+      case Op::Stats:
+        appendStats(resp);
         break;
-      }
       case Op::Version:
         resp += "VERSION hicamp-mc 1.0\r\n";
         break;
@@ -746,6 +793,38 @@ McServer::execute(const McCommand &cmd, IteratorRegister &it,
         resp += cmd.error;
         break;
     }
+}
+
+void
+McServer::appendStats(std::string &resp)
+{
+    const auto stat = [&resp](std::string_view k, std::uint64_t v) {
+        resp += "STAT ";
+        resp += k;
+        resp += ' ';
+        resp += std::to_string(v);
+        resp += "\r\n";
+    };
+    // The memcached names come first, so existing clients still find
+    // them; then every counter and gauge of the server's registry and
+    // of the heap's. Values are monotone, exact only when idle.
+    stat("cmd_get", st_.cmdGet.value());
+    stat("cmd_set", st_.cmdSet.value());
+    stat("get_hits", st_.hits.value());
+    stat("get_misses", st_.misses.value());
+    stat("oom_errors", st_.oom.value());
+    stat("bytes_read", st_.bytesIn.value());
+    stat("bytes_written", st_.bytesOut.value());
+    stat("curr_connections", connsOpen_.load(std::memory_order_relaxed));
+    const auto registry = [&stat](const std::string &prefix,
+                                  const obs::MetricsSnapshot &snap) {
+        for (const auto *values : {&snap.counters, &snap.gauges})
+            for (const auto &[name, v] : *values)
+                stat(prefix + name, v);
+    };
+    registry("", metrics_.snapshot());
+    registry("mem.", store_.heap().mem.metrics().snapshot());
+    resp += resp::kEnd;
 }
 
 } // namespace hicamp::server

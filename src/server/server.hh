@@ -6,10 +6,18 @@
  * Thread shape: one network thread owns the epoll loop, every socket,
  * and all per-connection parse state; N worker threads own the heap
  * work. The two sides meet at a pair of bounded MPMC rings
- * (server/ring.hh) plus one eventfd:
+ * (server/ring.hh):
  *
  *   net --[Batch: conn + parsed commands]--> request ring --> workers
  *   workers --[append under conn output lock; Completion]--> net
+ *
+ * Every serving thread spins, then parks (server/park.hh): with no
+ * work it polls for kIdleWindow, yielding between polls, then
+ * announces that it sleeps, re-checks, and blocks — a worker on a
+ * futex word, the net thread in epoll_wait. A producer wakes the
+ * other side only after seeing that announcement: the net thread
+ * notifies a parked worker after a push, and a worker writes the
+ * eventfd only when the net thread is parked.
  *
  * At most one batch per connection is in flight, which preserves
  * memcached's response ordering with no reorder buffer while separate
@@ -33,6 +41,7 @@
 #define HICAMP_SERVER_SERVER_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -44,6 +53,7 @@
 
 #include "common/thread_annotations.hh"
 #include "obs/metrics.hh"
+#include "server/park.hh"
 #include "server/proto.hh"
 #include "server/ring.hh"
 #include "server/store.hh"
@@ -63,6 +73,11 @@ struct ServerConfig {
 class McServer
 {
   public:
+    /** How long an idle serving thread polls before it parks. Long
+     *  enough to span the gap between requests at a steady rate,
+     *  short enough that an idle server sleeps. */
+    static constexpr std::chrono::microseconds kIdleWindow{1000};
+
     /** @p store outlives the server; the heap it wraps is shared. */
     McServer(McStore &store, ServerConfig cfg = {});
     ~McServer();
@@ -114,6 +129,8 @@ class McServer
             &cmdBad;
         ShardedCounter &hits, &misses, &oom;
         ShardedCounter &bytesIn, &bytesOut, &stalls;
+        ShardedCounter &workerParks, &workerWakes, &netParks,
+            &eventfdWrites;
         obs::Log2Histogram &batchCmds;
     };
 
@@ -127,17 +144,20 @@ class McServer
     void dispatch(const ConnPtr &c);
     bool tryDispatch(const ConnPtr &c);
     void retryDeferred();
-    void drainCompletions();
+    bool drainCompletions();
+    void clearWakeups();
     void flushOut(const ConnPtr &c);
     void maybeFinish(const ConnPtr &c);
     void closeConn(const ConnPtr &c);
     void updateMask(const ConnPtr &c);
     void wakeNet();
     void drainOnStop();
+    bool nextBatch(Batch &b);
 
     /** Execute one command, appending its response to @p resp. */
     void execute(const McCommand &cmd, IteratorRegister &it,
                  std::string &resp);
+    void appendStats(std::string &resp);
 
     McStore &store_;
     ServerConfig cfg_;
@@ -153,12 +173,20 @@ class McServer
     int eventFd_ = -1;
     std::uint16_t port_ = 0;
 
-    /// Lifecycle words. All-relaxed FLAG use is sound: every
-    /// transition is followed by an eventfd write (a syscall the
-    /// sleeping side orders against) and thread join provides the
-    /// final happens-before at shutdown.
+    /// Lifecycle words. All-relaxed FLAG use is sound: a spinning
+    /// thread reads its flag on every turn, and each clear is
+    /// followed by a wake that reaches a parked thread — stop()
+    /// writes the eventfd after clearing running_, and bumps the
+    /// worker futex word (a seq_cst RMW the parked re-check acquires)
+    /// after clearing workersRun_. Thread join provides the final
+    /// happens-before at shutdown.
     HICAMP_ATOMIC_FLAG std::atomic<bool> running_{false};
     HICAMP_ATOMIC_FLAG std::atomic<bool> workersRun_{false};
+
+    /// Park handshakes: workers park on the request ring, the net
+    /// thread on its completions (server/park.hh).
+    ParkingLot workerPark_;
+    ParkFlag netPark_;
 
     std::unique_ptr<MpmcRing<Batch>> requests_;
     std::unique_ptr<MpmcRing<Completion>> completions_;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Litmus tests for the three core memory-order contracts the
- * DESIGN.md §13 role vocabulary encodes (HICAMP_ATOMIC_PUBLISH,
- * HICAMP_ATOMIC_CLAIM_CAS, HICAMP_ATOMIC_SEQLOCK). Each test is a
+ * Litmus tests for the core memory-order contracts the DESIGN.md §13
+ * role vocabulary encodes (HICAMP_ATOMIC_PUBLISH,
+ * HICAMP_ATOMIC_CLAIM_CAS, HICAMP_ATOMIC_SEQLOCK,
+ * HICAMP_ATOMIC_PARK). Each test is a
  * minimal two-sided protocol exercised by real threads; the CI TSan
  * job runs them to prove the pairings race-free, and the assertions
  * fail loudly if an ordering edge is ever weakened (e.g. a release
@@ -12,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hh"
+#include "server/park.hh"
 
 namespace hicamp {
 namespace {
@@ -170,6 +176,71 @@ TEST(AtomicContracts, SeqlockTornReadRetry)
         r.join();
     EXPECT_EQ(a.load(std::memory_order_relaxed),
               static_cast<std::uint64_t>(kWrites));
+}
+
+/**
+ * PARK contract (§13, §14): two threads hand a token back and forth,
+ * and each blocks whenever the other holds it — side A on a
+ * ParkingLot futex like a worker, side B on a ParkFlag plus an
+ * eventfd like the net thread. Neither spins, so nearly every
+ * handoff parks. A lost wakeup leaves A asleep forever (the test
+ * hangs) or makes B sit out its safety-net timeout (counted).
+ */
+TEST(AtomicContracts, ParkWakePingPong)
+{
+    constexpr int kRounds = 100000;
+    constexpr int kSafetyNetMs = 5000;
+    server::ParkingLot lot;
+    server::ParkFlag flag;
+    const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    ASSERT_GE(efd, 0);
+    std::atomic<int> turn{0}; // 0: A holds the token, 1: B does
+    std::uint64_t handoffs = 0; // plain: written by the token holder
+    int timeouts = 0;           // B's only
+
+    const auto aHolds = [&] {
+        return turn.load(std::memory_order_acquire) == 0;
+    };
+    const auto bHolds = [&] {
+        return turn.load(std::memory_order_acquire) == 1;
+    };
+    std::thread a([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            while (!aHolds())
+                lot.park(aHolds);
+            ++handoffs;
+            turn.store(1, std::memory_order_release);
+            if (flag.claim()) {
+                const std::uint64_t one = 1;
+                EXPECT_EQ(::write(efd, &one, sizeof one),
+                          static_cast<ssize_t>(sizeof one));
+            }
+        }
+    });
+    std::thread b([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            while (!bHolds()) {
+                flag.announce();
+                if (!bHolds()) {
+                    pollfd p{efd, POLLIN, 0};
+                    if (::poll(&p, 1, kSafetyNetMs) == 0)
+                        ++timeouts;
+                }
+                flag.retract();
+                std::uint64_t tick;
+                while (::read(efd, &tick, sizeof tick) > 0) {
+                }
+            }
+            ++handoffs;
+            turn.store(0, std::memory_order_release);
+            lot.wakeOne();
+        }
+    });
+    a.join();
+    b.join();
+    ::close(efd);
+    EXPECT_EQ(handoffs, 2u * kRounds);
+    EXPECT_EQ(timeouts, 0);
 }
 
 } // namespace

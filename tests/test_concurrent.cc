@@ -56,8 +56,9 @@ TEST(Concurrent, MapSetsFromManyThreadsAllLand)
                     auto probe = map.get(HString(
                         hc, "t" + std::to_string(rng.below(kThreads)) +
                                 "-k" + std::to_string(rng.below(kKeys))));
-                    if (probe)
+                    if (probe) {
                         EXPECT_EQ(probe->str().substr(0, 1), "v");
+                    }
                 }
             });
         }

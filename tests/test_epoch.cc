@@ -423,7 +423,9 @@ TEST(Epoch, AllocFailureWhileLineInLimbo)
     FaultConfig f;
     f.allocFailEvery = 1;
     mem.faults().reconfigure(f);
-    EXPECT_THROW(mem.lookup(lineOf(mem.lineWords(), 2002)),
+    // Were the lookup to succeed, its reference is released, not
+    // leaked; the expected throw skips the decRef.
+    EXPECT_THROW(mem.decRef(mem.lookup(lineOf(mem.lineWords(), 2002))),
                  MemPressureError);
     EXPECT_GE(mem.store().limboLines(), 1u);
     EXPECT_EQ(mem.oomEvents(), 1u);

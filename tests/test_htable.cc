@@ -108,8 +108,6 @@ TEST_F(TableFixture, ConcurrentInsertsAllLand)
         });
     }
     for (auto &t : ts)
-        ts.size(); // no-op; silence lints
-    for (auto &t : ts)
         if (t.joinable())
             t.join();
     EXPECT_EQ(table.rowCount(),

@@ -7,16 +7,26 @@
  * interesting races are the ring handoff (net thread vs workers),
  * the per-connection output lock, and snapshot GETs overlapping
  * merge-update SET commits.
+ *
+ * The spin-then-park handshakes (server/park.hh) get their own cases:
+ * requests that land on fully parked threads, and stop() while every
+ * thread sleeps. The ServerIdle cases measure CPU time and round trips
+ * on one CPU, so they stay out of the TSan filter.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -72,6 +82,21 @@ class RawClient
             off += static_cast<std::size_t>(n);
         }
         return true;
+    }
+
+    /** Read until @p bytes bytes arrived (or the receive timeout). */
+    std::string
+    recvN(std::size_t bytes)
+    {
+        std::string out;
+        char buf[4096];
+        while (out.size() < bytes) {
+            const ssize_t n = ::read(fd_, buf, sizeof buf);
+            if (n <= 0)
+                break;
+            out.append(buf, static_cast<std::size_t>(n));
+        }
+        return out;
     }
 
     std::string
@@ -279,6 +304,232 @@ TEST(ServerConcurrent, SnapshotGetsOverlapCommitsOnOneKey)
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(badReads.load(), 0u);
     EXPECT_GT(goodReads.load(), 0u);
+    expectCleanAudit(hc);
+}
+
+using Clock = std::chrono::steady_clock;
+
+constexpr std::string_view kGetK = "get k\r\n";
+constexpr std::string_view kReplyK = "VALUE k 0 1\r\nv\r\nEND\r\n";
+
+/** The park/wake cases time replies and count wakes; an injected
+ *  allocation failure would only turn a reply into SERVER_ERROR, which
+ *  the fault-soak tests already cover, so they run without it. */
+MemoryConfig
+smallHeap()
+{
+    MemoryConfig mc;
+    mc.numBuckets = 1 << 12;
+    mc.faults.allowEnvOverride = false;
+    return mc;
+}
+
+TEST(ServerConcurrent, ParkedThreadsWakeForSimultaneousRequests)
+{
+    // Each round starts with every server thread parked (idle for 3x
+    // the window), then two connections send one GET each at the same
+    // moment. A lost worker wakeup strands a request until the next
+    // push; a lost net-thread wakeup strands it until epoll's 100 ms
+    // safety-net timeout. Either shows as a reply later than 50 ms.
+    Hicamp hc(smallHeap());
+    McStore store(hc);
+    store.set("k", 0, "v");
+    ServerConfig sc;
+    sc.workers = 2;
+    McServer srv(store, sc);
+    srv.start();
+    int wrong = 0, late = 0;
+    Clock::duration worst{};
+    {
+        RawClient a(srv.port()), b(srv.port());
+        ASSERT_TRUE(a.ok() && b.ok());
+        for (int round = 0; round < 200; ++round) {
+            std::this_thread::sleep_for(3 * McServer::kIdleWindow);
+            const auto t0 = Clock::now();
+            if (!a.send(kGetK) || !b.send(kGetK)) {
+                ++wrong;
+                break;
+            }
+            for (RawClient *c : {&a, &b}) {
+                if (c->recvN(kReplyK.size()) != kReplyK)
+                    ++wrong;
+                const auto dt = Clock::now() - t0;
+                worst = std::max(worst, dt);
+                if (dt > std::chrono::milliseconds(50))
+                    ++late;
+            }
+        }
+        // Storing a large value keeps its worker busy for tens of
+        // windows (~50 ms on a 4-vCPU Xeon), so the net thread parks
+        // before the batch completes and the completion must come
+        // through the eventfd. Distinct bytes keep the value from
+        // deduplicating into a few lines.
+        std::string big(512 * 1024, '\0');
+        for (std::size_t i = 0; i < big.size(); ++i)
+            big[i] = static_cast<char>('a' + (i * 2654435761u >> 13) % 26);
+        const std::string stored = "STORED\r\n";
+        if (!a.send("set big 0 0 " + std::to_string(big.size()) +
+                    "\r\n" + big + "\r\n") ||
+            a.recvN(stored.size()) != stored)
+            ++wrong;
+    }
+    const auto snap = srv.metrics().snapshot();
+    srv.stop();
+    EXPECT_EQ(wrong, 0);
+    const auto worstUs =
+        std::chrono::duration_cast<std::chrono::microseconds>(worst);
+    EXPECT_EQ(late, 0) << "slowest reply: " << worstUs.count() << " us";
+    // Every park and wake path ran (stop()'s own eventfd write comes
+    // after the snapshot).
+    EXPECT_GT(snap.counter("server.worker.parks"), 0u);
+    EXPECT_GT(snap.counter("server.worker.wakes"), 0u);
+    EXPECT_GT(snap.counter("server.net.parks"), 0u);
+    EXPECT_GT(snap.counter("server.net.eventfd_writes"), 0u);
+    expectCleanAudit(hc);
+}
+
+TEST(ServerConcurrent, StopReturnsPromptlyWhileParked)
+{
+    Hicamp hc(smallHeap());
+    McStore store(hc);
+    store.set("k", 0, "v");
+    ServerConfig sc;
+    sc.workers = 3;
+    McServer srv(store, sc);
+    srv.start();
+    {
+        RawClient c(srv.port());
+        ASSERT_TRUE(c.ok());
+        ASSERT_TRUE(c.send(kGetK));
+        EXPECT_EQ(c.recvN(kReplyK.size()), kReplyK);
+    }
+    // Long past the window: every thread has announced and blocked.
+    std::this_thread::sleep_for(20 * McServer::kIdleWindow);
+    const auto snap = srv.metrics().snapshot();
+    EXPECT_GE(snap.counter("server.worker.parks"), sc.workers);
+    EXPECT_GT(snap.counter("server.net.parks"), 0u);
+    const auto t0 = Clock::now();
+    srv.stop();
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(1));
+    expectCleanAudit(hc);
+}
+
+/** Thread ids of this process, sorted. */
+std::vector<pid_t>
+threadIds()
+{
+    std::vector<pid_t> ids;
+    if (DIR *d = ::opendir("/proc/self/task")) {
+        while (const dirent *e = ::readdir(d))
+            if (e->d_name[0] != '.')
+                ids.push_back(static_cast<pid_t>(std::atoi(e->d_name)));
+        ::closedir(d);
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+/** Time thread @p tid has spent on a CPU (schedstat field 1), ns;
+ *  -1 when the kernel does not expose it. */
+long long
+cpuNs(pid_t tid)
+{
+    long long run = -1;
+    const std::string path =
+        "/proc/self/task/" + std::to_string(tid) + "/schedstat";
+    if (std::FILE *f = std::fopen(path.c_str(), "r")) {
+        if (std::fscanf(f, "%lld", &run) != 1)
+            run = -1;
+        std::fclose(f);
+    }
+    return run;
+}
+
+TEST(ServerIdle, ThreadsSleepAfterLastReply)
+{
+    // An idle server must sleep: after the last reply each thread may
+    // spin for one window, then parks. A loop that only yields keeps
+    // its thread on a CPU and fails the 10% bound.
+    Hicamp hc(smallHeap());
+    McStore store(hc);
+    store.set("k", 0, "v");
+    ServerConfig sc;
+    sc.workers = 2;
+    McServer srv(store, sc);
+    const std::vector<pid_t> before = threadIds();
+    srv.start();
+    std::vector<pid_t> serving;
+    for (pid_t t : threadIds())
+        if (!std::binary_search(before.begin(), before.end(), t))
+            serving.push_back(t);
+    ASSERT_EQ(serving.size(), sc.workers + 1u);
+    {
+        RawClient c(srv.port());
+        ASSERT_TRUE(c.ok());
+        ASSERT_TRUE(c.send(kGetK));
+        EXPECT_EQ(c.recvN(kReplyK.size()), kReplyK);
+    }
+    constexpr auto kSpan = std::chrono::milliseconds(500);
+    std::vector<long long> cpu0;
+    for (pid_t t : serving)
+        cpu0.push_back(cpuNs(t));
+    std::this_thread::sleep_for(kSpan);
+    for (std::size_t i = 0; i < serving.size(); ++i) {
+        const long long cpu1 = cpuNs(serving[i]);
+        ASSERT_GE(cpu0[i], 0) << "no schedstat for thread " << serving[i];
+        EXPECT_LT(static_cast<double>(cpu1 - cpu0[i]),
+                  0.10 * std::chrono::nanoseconds(kSpan).count())
+            << "server thread " << serving[i] << " kept running while idle";
+    }
+    srv.stop();
+    expectCleanAudit(hc);
+}
+
+TEST(ServerIdle, OneCpuRoundTripsStayFast)
+{
+    // Client, net thread and both workers share one CPU (server
+    // threads inherit the mask of the thread that starts them). Every
+    // spinning thread yields, so a request waits microseconds for the
+    // next thread in line, not a scheduler slice.
+    cpu_set_t saved;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved))
+        ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+    struct RestoreMask {
+        const cpu_set_t &mask;
+        ~RestoreMask() { ::sched_setaffinity(0, sizeof mask, &mask); }
+    } restore{saved};
+
+    Hicamp hc(smallHeap());
+    McStore store(hc);
+    store.set("k", 0, "v");
+    ServerConfig sc;
+    sc.workers = 2;
+    McServer srv(store, sc);
+    srv.start();
+    std::vector<double> rttUs;
+    {
+        RawClient c(srv.port());
+        ASSERT_TRUE(c.ok());
+        for (int i = 0; i < 500; ++i) {
+            const auto t0 = Clock::now();
+            ASSERT_TRUE(c.send(kGetK));
+            ASSERT_EQ(c.recvN(kReplyK.size()), kReplyK);
+            const std::chrono::duration<double, std::micro> rtt =
+                Clock::now() - t0;
+            rttUs.push_back(rtt.count());
+        }
+    }
+    srv.stop();
+    std::nth_element(rttUs.begin(), rttUs.begin() + rttUs.size() / 2,
+                     rttUs.end());
+    EXPECT_LT(rttUs[rttUs.size() / 2], 1000.0);
     expectCleanAudit(hc);
 }
 

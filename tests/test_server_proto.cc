@@ -450,6 +450,53 @@ TEST(ServerProto, EndToEndOversizedKeyAnswersClientError)
     expectCleanAudit(f.hc);
 }
 
+TEST(ServerProto, EndToEndStatsServesBothRegistries)
+{
+    ServerFixture f;
+    TestClient cli(f.srv.port());
+    cli.send("set k 0 0 1\r\nv\r\nget k\r\nstats\r\nquit\r\n");
+    const std::string got = cli.recvUntilClose();
+    const std::string head = "STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\n";
+    ASSERT_EQ(got.compare(0, head.size(), head), 0) << got;
+    // The memcached names lead, so existing clients still parse them.
+    const std::string stats = got.substr(head.size());
+    EXPECT_EQ(stats.rfind("STAT cmd_get 1\r\nSTAT cmd_set 1\r\n"
+                          "STAT get_hits 1\r\nSTAT get_misses 0\r\n",
+                          0),
+              0u)
+        << stats;
+    // Every line is "STAT <name> <value>" up to the final END.
+    std::size_t pos = 0, lines = 0;
+    while (pos < stats.size()) {
+        const std::size_t nl = stats.find("\r\n", pos);
+        ASSERT_NE(nl, std::string::npos);
+        const std::string line = stats.substr(pos, nl - pos);
+        pos = nl + 2;
+        if (line == "END") {
+            EXPECT_EQ(pos, stats.size());
+            break;
+        }
+        ++lines;
+        const std::size_t sp = line.rfind(' ');
+        ASSERT_EQ(line.rfind("STAT ", 0), 0u) << line;
+        ASSERT_GT(sp, 5u) << line;
+        EXPECT_EQ(line.find_first_not_of("0123456789", sp + 1),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_GT(lines, 8u);
+    // The server registry (with the park/wake counters) and the heap's.
+    for (const char *name :
+         {"server.cmds.get", "server.worker.parks", "server.worker.wakes",
+          "server.net.parks", "server.net.eventfd_writes",
+          "mem.dram.read", "mem.store.live_lines"})
+        EXPECT_NE(stats.find(std::string("\r\nSTAT ") + name + " "),
+                  std::string::npos)
+            << name;
+    f.srv.stop();
+    expectCleanAudit(f.hc);
+}
+
 TEST(ServerProto, EndToEndFaultInjectionDegradesPerRequest)
 {
     // Aggressive alloc-fault injection: some SETs answer

@@ -35,8 +35,9 @@ TEST(VmModel, OrderingInvariant)
             EXPECT_LE(u.hicampBytes,
                       u.pageSharedBytes + u.pageSharedBytes / 4)
                 << p.name;
-            if (i >= 3)
+            if (i >= 3) {
                 EXPECT_LE(u.hicampBytes, u.pageSharedBytes) << p.name;
+            }
             EXPECT_GT(u.hicampBytes, 0u) << p.name;
         }
     }

@@ -57,6 +57,18 @@ flag (``HICAMP_ATOMIC_FLAG``)
     acquire-side reader [flag-unpaired-release] and vice versa
     [flag-unpaired-acquire].
 
+park (``HICAMP_ATOMIC_PARK``)
+    The announcement word of a spin-then-park (Dekker) handshake: the
+    sleeper announces, fences, re-checks its queue; the waker
+    publishes, fences, checks the word.  Touched only inside
+    ``primitive()`` functions [park-outside-primitive].  These rules
+    hold inside primitives too, since the fences are the protocol: an
+    announce (a non-relaxed store-side op) must be followed directly
+    by a seq_cst fence [park-announce-without-fence], and a load
+    directly preceded by one [park-check-without-fence] — "directly"
+    meaning no other atomic site in between in the same function.
+    Relaxed store-side ops (retract, claim) are free.
+
 Everywhere
 ----------
 - An atomic field, parameter or reference declared without a role
@@ -98,6 +110,7 @@ ROLE_MACROS = {
     "HICAMP_ATOMIC_SEQLOCK": "seqlock",
     "HICAMP_ATOMIC_EPOCH": "epoch",
     "HICAMP_ATOMIC_FLAG": "flag",
+    "HICAMP_ATOMIC_PARK": "park",
 }
 ROLE_MACRO_RE = re.compile(r"\b(" + "|".join(ROLE_MACROS) + r")\b")
 
@@ -234,7 +247,8 @@ class Finding:
 class Site:
     """One classified atomic operation (or fence)."""
 
-    def __init__(self, path, rel, line, op, field, role, orders):
+    def __init__(self, path, rel, line, op, field, role, orders,
+                 offset=0, fn=None):
         self.path = path
         self.rel = rel
         self.line = line
@@ -242,7 +256,13 @@ class Site:
         self.field = field
         self.role = role
         self.orders = orders
+        self.offset = offset
+        self.fn = fn  # enclosing Function, None at file scope
         self.verdict = "ok"  # ok | waived | <rule>
+
+    def is_seq_cst_fence(self):
+        return self.op == "atomic_thread_fence" and \
+            "seq_cst" in self.orders
 
     def to_json(self):
         return {"file": self.rel, "line": self.line, "op": self.op,
@@ -691,14 +711,18 @@ class Checker:
             functions_tokens(code)
         functions = [Function(*f, raw_lines) for f in functions]
 
+        file_sites = []
+        park_sites = []
         for m in FENCE_RE.finditer(code):
             line = line_of_offset(code, m.start())
             args = code[m.end():balanced_span(code, m.end() - 1) or
                         m.end()]
             orders = ORDER_RE.findall(args)
             site = Site(path, rel, line, "atomic_thread_fence",
-                        None, "fence", orders)
+                        None, "fence", orders, m.start(),
+                        find_enclosing(functions, line))
             self.sites.append(site)
+            file_sites.append(site)
             self._waive(raw_lines, rel, line, site, "bare-fence",
                         "bare atomic_thread_fence; fences belong to "
                         "role primitives — justify with "
@@ -746,17 +770,28 @@ class Checker:
                     "declaration or waive with rationale")
                 continue
 
-            site = Site(path, rel, line, op, obj, role, orders)
+            site = Site(path, rel, line, op, obj, role, orders,
+                        m.start(), fn)
             self.sites.append(site)
+            file_sites.append(site)
             self._note_pairing(site, succ)
+            if fn and fn.primitive and not fn.primitive_reason:
+                self.findings.append(Finding(
+                    rel, line, "primitive-missing-rationale",
+                    "primitive() with no reason"))
+            if role == "park":
+                park_sites.append((site, succ))
+                continue
             if fn and fn.primitive:
-                if not fn.primitive_reason:
-                    self.findings.append(Finding(
-                        rel, line, "primitive-missing-rationale",
-                        "primitive() with no reason"))
                 continue
             getattr(self, "rule_" + role)(
                 raw_lines, rel, line, site, op, succ, fail, fn)
+
+        # Park rules look at each site's neighbours, so they run once
+        # every site of the file is known.
+        file_sites.sort(key=lambda s: s.offset)
+        for site, succ in park_sites:
+            self.rule_park(raw_lines, rel, site, succ, file_sites)
 
         return functions
 
@@ -887,6 +922,37 @@ class Checker:
                         "flag-weak-test-and-set",
                         f"{succ} test_and_set on '{site.field}'; a "
                         "lock-shaped claim needs at least acquire")
+
+    def rule_park(self, raw_lines, rel, site, succ, file_sites):
+        fn = site.fn
+        if fn is None or not fn.primitive:
+            self._waive(raw_lines, rel, site.line, site,
+                        "park-outside-primitive",
+                        f"park word '{site.field}' touched outside a "
+                        "primitive(); keep the announce/fence/re-check "
+                        "handshake in its protocol functions")
+            return
+        same = [s for s in file_sites if s.fn is fn]
+        i = same.index(site)
+        if site.op in STORE_OPS and succ != "relaxed":
+            nxt = same[i + 1] if i + 1 < len(same) else None
+            if nxt is None or not nxt.is_seq_cst_fence():
+                self._waive(raw_lines, rel, site.line, site,
+                            "park-announce-without-fence",
+                            f"{succ} {site.op} announces on park word "
+                            f"'{site.field}' with no seq_cst fence "
+                            "directly after it; the re-check can then "
+                            "miss a push whose waker missed the "
+                            "announce — a lost wakeup")
+        elif site.op in LOAD_OPS:
+            prv = same[i - 1] if i > 0 else None
+            if prv is None or not prv.is_seq_cst_fence():
+                self._waive(raw_lines, rel, site.line, site,
+                            "park-check-without-fence",
+                            f"load of park word '{site.field}' with no "
+                            "seq_cst fence directly before it; the "
+                            "check can miss an announce whose re-check "
+                            "missed the push — a lost wakeup")
 
     # -- cross-site pairing closure
 

@@ -1,0 +1,32 @@
+// Fixture: the waker publishes work and checks the park word with no
+// fence in between. The check may read a stale 0 while the sleeper's
+// re-check misses the push: a lost wakeup.
+// Expect: park-check-without-fence
+namespace hicamp {
+class Sleeper
+{
+  public:
+    // hicamp-atomic: primitive(sleeper half of the park handshake)
+    bool
+    announceAndRecheck()
+    {
+        parked_.store(1, std::memory_order_seq_cst);
+        // hicamp-atomic: waive(park announce fence: orders the
+        // announcement before the re-check; pairs with mustWake)
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        return work_.load(std::memory_order_acquire) != 0;
+    }
+
+    // hicamp-atomic: primitive(waker half of the park handshake)
+    bool
+    mustWake()
+    {
+        work_.store(1, std::memory_order_release);
+        return parked_.load(std::memory_order_acquire) != 0;
+    }
+
+  private:
+    HICAMP_ATOMIC_PARK std::atomic<std::uint32_t> parked_{0};
+    HICAMP_ATOMIC_PUBLISH std::atomic<std::uint64_t> work_{0};
+};
+} // namespace hicamp

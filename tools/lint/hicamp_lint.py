@@ -96,7 +96,7 @@ import sys
 # once per run; an un-annotated atomic in a condition is still ours.
 ATOMIC_ROLE_DECL_RE = re.compile(
     r"\bHICAMP_ATOMIC_(?:PUBLISH|CLAIM_CAS|COUNTER|SEQLOCK|EPOCH|"
-    r"FLAG)\b[^;{}]*?(\w+)\s*[;={[(]")
+    r"FLAG|PARK)\b[^;{}]*?(\w+)\s*[;={[(]")
 
 _ATOMIC_ROLE_NAMES = None
 
