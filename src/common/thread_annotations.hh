@@ -119,10 +119,8 @@ class HICAMP_CAPABILITY("lock_rank") LockRank
 
 /**
  * The §7 order, outermost first (a thread may only acquire locks of
- * strictly later rank than those it holds):
- *   rank 1  Memory's globalLock recursive_mutex (baseline mode only;
- *           conditional acquisition is inexpressible in the analysis,
- *           so it stays unannotated — see DESIGN.md §8)
+ * strictly later rank than those it holds; rank 1 is retired, and
+ * the rest keep their numbers because comments cite them):
  *   rank 2  vsm    — SegmentMap::mapMutex_ (+ the per-slot seqlock
  *           write side, entered only under it)
  *   rank 3  stripe — LineStore bucket stripes

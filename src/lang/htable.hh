@@ -209,37 +209,50 @@ class HTable
      * the matching rows' segments directly (no row data is copied);
      * the snapshot guarantees the predicate saw a consistent state
      * even while writers keep committing.
+     *
+     * A transient allocation failure while building the view is
+     * retried on a fresh snapshot, like a lost commit in insert().
+     * The retry leaks nothing: the failed build consumed the view's
+     * row references.
      */
     HView
     select(const std::function<bool(const HString &)> &pred)
     {
         IteratorRegister it(hc_.mem, hc_.vsm); // pins the snapshot
-        it.load(vsid_, 0);
-        const std::uint64_t n = it.read();
         SegBuilder b(hc_.mem);
-        std::vector<Word> out;
-        std::vector<WordMeta> metas;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            it.seek(1 + i);
-            WordMeta m;
-            Word box = it.read(&m);
-            if (box == 0 || !m.isPlid())
-                continue; // tombstone
-            SegDesc d = hc_.unboxSegment(box);
-            b.retain(d.root);
-            HString row = HString::adopt(hc_, d);
-            if (pred(row)) {
-                // The view references the row's existing box line.
-                hc_.mem.incRef(box);
-                out.push_back(box);
-                metas.push_back(WordMeta::plid());
+        CommitRetry retry(hc_.mem.retryPolicy(), &hc_.mem.contention());
+        for (;;) {
+            it.load(vsid_, 0);
+            const std::uint64_t n = it.read();
+            std::vector<Word> out;
+            std::vector<WordMeta> metas;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                it.seek(1 + i);
+                WordMeta m;
+                Word box = it.read(&m);
+                if (box == 0 || !m.isPlid())
+                    continue; // tombstone
+                SegDesc d = hc_.unboxSegment(box);
+                b.retain(d.root);
+                HString row = HString::adopt(hc_, d);
+                if (pred(row)) {
+                    // The view references the row's existing box line.
+                    hc_.mem.incRef(box);
+                    out.push_back(box);
+                    metas.push_back(WordMeta::plid());
+                }
+            }
+            try {
+                SegDesc view = out.empty()
+                                   ? SegDesc{}
+                                   : b.buildWords(out.data(), metas.data(),
+                                                  out.size());
+                return HView(hc_, view, out.size());
+            } catch (const MemPressureError &) {
+                if (!retry.onConflict())
+                    throw;
             }
         }
-        SegDesc view = out.empty()
-                           ? SegDesc{}
-                           : b.buildWords(out.data(), metas.data(),
-                                          out.size());
-        return HView(hc_, view, out.size());
     }
 
   private:

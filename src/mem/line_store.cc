@@ -45,7 +45,7 @@ LineStore::LineStore(std::uint64_t num_buckets, unsigned line_words,
       sigs_(num_buckets * BucketLayout::kNumData, 0),
       refs_(num_buckets * BucketLayout::kNumData),
       liveMask_(num_buckets), limboMask_(num_buckets),
-      overflow_(numStripes_), epoch_(limits.epochBatchSize),
+      overflow_(numStripes_),
       lockExcl_(numStripes_), lockShared_(numStripes_)
 {
     HICAMP_ASSERT(std::has_single_bit(num_buckets),
@@ -126,21 +126,16 @@ LineStore::bucketOfPlid(Plid plid) const
     if (isOverflow(plid)) {
         const unsigned stripe = overflowStripe(plid);
         HICAMP_DEBUG_ASSERT(stripe < numStripes_, "malformed PLID");
-        if (limits_.epochReclaim) {
-            // Lock-free (§12): homeBucket is written once before the
-            // entry is published and rewritten only when the slot
-            // recycles through the free list — which the caller's
-            // reference (or the grace period, for limbo lines)
-            // excludes for the duration of the guard.
-            EpochGuard eg(epoch_);
-            const OverflowEntry *e =
-                overflowEntryAcquire(stripe, overflowIdx(plid));
-            HICAMP_DEBUG_ASSERT(e != nullptr, "malformed overflow PLID");
-            return e->homeBucket;
-        }
-        noteShared(stripe);
-        StripeShared g(stripes_, stripe);
-        return overflowEntryAt(stripe, overflowIdx(plid)).homeBucket;
+        // Lock-free (§12): homeBucket is written once before the
+        // entry is published and rewritten only when the slot
+        // recycles through the free list — which the caller's
+        // reference (or the grace period, for limbo lines) excludes
+        // for the duration of the guard.
+        EpochGuard eg(epoch_);
+        const OverflowEntry *e =
+            overflowEntryAcquire(stripe, overflowIdx(plid));
+        HICAMP_DEBUG_ASSERT(e != nullptr, "malformed overflow PLID");
+        return e->homeBucket;
     }
     return plid >> BucketLayout::kWayBits;
 }
@@ -300,7 +295,7 @@ LineStore::find(const Line &content) const
     HICAMP_ASSERT(!content.isZero(), "zero line is implicit (PLID 0)");
     const std::uint64_t hash = content.contentHash();
     const unsigned stripe = stripeOfBucket(bucketOf(hash));
-    if (limits_.epochReclaim) {
+    {
         // Lock-free probe (§12): a home-bucket hit — the hot case —
         // returns without touching the stripe. The guard must close
         // before the locked fallback (§7 rank order).
@@ -325,7 +320,7 @@ LineStore::findOrInsert(const Line &content, bool take_ref)
     const std::uint64_t b = bucketOf(hash);
     const unsigned stripe = stripeOfBucket(b);
 
-    if (limits_.epochReclaim) {
+    {
         // Lock-free probe phase (§12, ck_hs style): the dedup hit —
         // the hot path — completes with zero locks. The guard scope
         // closes before the locked fallback below (§7: a stripe may
@@ -416,12 +411,12 @@ LineStore::findOrInsert(const Line &content, bool take_ref)
             // Home bucket full. When limbo ways are what blocks the
             // insert and we have not flushed yet, drop the lock,
             // synchronize the epoch and retry once: with no pinned
-            // reader this reuses the same way the immediate-free
-            // mode would, instead of spilling to overflow.
+            // reader this reuses a freed way instead of spilling to
+            // overflow.
             // hicamp-atomic: waive(exclusive stripe lock, as the
             // occupancy scan above)
-            if (!(limits_.epochReclaim && attempt == 0 &&
-                  limboMask_[b].load(std::memory_order_relaxed) != 0)) {
+            if (attempt != 0 ||
+                limboMask_[b].load(std::memory_order_relaxed) == 0) {
                 // Spill to this stripe's overflow shard, if the
                 // finite capacity model still has room.
                 if (!tryReserveOverflow()) {
@@ -463,47 +458,29 @@ LineStore::read(Plid plid) const
     if (isOverflow(plid)) {
         const unsigned stripe = overflowStripe(plid);
         HICAMP_DEBUG_ASSERT(stripe < numStripes_, "malformed PLID");
-        if (limits_.epochReclaim) {
-            // Lock-free: the guard keeps the entry's storage from
-            // being recycled while we copy it. A line the caller
-            // held a reference to (or saw live inside this same
-            // guard) is at worst in limbo — content still intact.
-            EpochGuard eg(epoch_);
-            const OverflowEntry *e =
-                overflowEntryAcquire(stripe, overflowIdx(plid));
-            HICAMP_DEBUG_ASSERT(
-                e != nullptr &&
-                    (e->live.load(std::memory_order_acquire) ||
-                     e->limbo.load(std::memory_order_acquire)),
-                "read of dead overflow line");
-            return e->line;
-        }
-        noteShared(stripe);
-        StripeShared g(stripes_, stripe);
-        const OverflowEntry &e =
-            overflowEntryAt(stripe, overflowIdx(plid));
-        // hicamp-atomic: waive(shared stripe lock held; live flips
-        // // only under the exclusive lock)
-        HICAMP_DEBUG_ASSERT(e.live.load(std::memory_order_relaxed),
-                            "read of dead overflow line");
-        return e.line;
+        // Lock-free: the guard keeps the entry's storage from being
+        // recycled while we copy it. A line the caller held a
+        // reference to (or saw live inside this same guard) is at
+        // worst in limbo — content still intact.
+        EpochGuard eg(epoch_);
+        const OverflowEntry *e =
+            overflowEntryAcquire(stripe, overflowIdx(plid));
+        HICAMP_DEBUG_ASSERT(
+            e != nullptr && (e->live.load(std::memory_order_acquire) ||
+                             e->limbo.load(std::memory_order_acquire)),
+            "read of dead overflow line");
+        return e->line;
     }
     // Home-bucket lines are immutable once published, so this path is
     // lock-free: the acquire load of the occupancy bit pairs with the
     // release in setSlotLive, ordering the content stores before us.
-    // Under epoch reclamation the copy additionally runs inside a
-    // guard so retire() parks (rather than clears) the slot under us.
+    // The copy runs inside a guard so retire() parks (rather than
+    // clears) the slot under us.
     const std::uint64_t slot = slotOf(plid);
-    if (limits_.epochReclaim) {
-        EpochGuard eg(epoch_);
-        const bool ok = slotLive(slot) || slotLimbo(slot);
-        HICAMP_DEBUG_ASSERT(ok, "read of unallocated PLID");
-        (void)ok;
-        return materialize(slot);
-    }
-    const bool live = slotLive(slot); // acquire
-    HICAMP_DEBUG_ASSERT(live, "read of unallocated PLID");
-    (void)live;
+    EpochGuard eg(epoch_);
+    const bool ok = slotLive(slot) || slotLimbo(slot);
+    HICAMP_DEBUG_ASSERT(ok, "read of unallocated PLID");
+    (void)ok;
     return materialize(slot);
 }
 
@@ -513,8 +490,8 @@ LineStore::isLive(Plid plid) const
     if (plid == kZeroPlid)
         return true;
     if (isOverflow(plid)) {
-        // Lock-free in both modes: the slab's chunk directory only
-        // grows and the flag is atomic.
+        // Lock-free: the slab's chunk directory only grows and the
+        // flag is atomic.
         const OverflowEntry *e =
             overflowEntryAcquire(overflowStripe(plid), overflowIdx(plid));
         return e != nullptr && e->live.load(std::memory_order_acquire);
@@ -533,24 +510,12 @@ LineStore::refCount(Plid plid) const
 {
     if (plid == kZeroPlid)
         return 1; // the zero line is never reclaimed
-    if (limits_.epochReclaim) {
-        EpochGuard eg(epoch_);
-        return refCountImpl(plid);
-    }
-    return refCountImpl(plid);
-}
-
-std::uint32_t
-LineStore::refCountImpl(Plid plid) const
-{
-    // Torn-read satellite: a refcount snapshot is only meaningful as
-    // *stable storage* inside an epoch section — outside one the
-    // slot could be recycled mid-read. The value is advisory either
-    // way (holders retain/release concurrently); only retire()'s
-    // stripe-locked re-check may gate a free on it.
-    HICAMP_DEBUG_ASSERT(
-        !limits_.epochReclaim || epoch_.activeOnThisThread(),
-        "refcount snapshot outside an epoch guard is advisory only");
+    // A refcount snapshot is only meaningful as *stable storage*
+    // inside an epoch section — outside one the slot could be
+    // recycled mid-read. The value is advisory either way (holders
+    // retain/release concurrently); only retire()'s stripe-locked
+    // re-check may gate a free on it.
+    EpochGuard eg(epoch_);
     if (isOverflow(plid)) {
         const OverflowEntry *e =
             overflowEntryAcquire(overflowStripe(plid), overflowIdx(plid));
@@ -723,7 +688,7 @@ LineStore::retire(Plid plid)
     auto out = retireLocked(plid);
     // The batching step runs with no stripe lock held: a triggered
     // advance drains limbo, and those callbacks re-acquire stripes.
-    if (out.has_value() && limits_.epochReclaim)
+    if (out.has_value())
         epoch_.maybeAdvance();
     return out;
 }
@@ -756,23 +721,16 @@ LineStore::retireLocked(Plid plid)
                 break;
             }
         }
-        if (limits_.epochReclaim) {
-            // Unpublish now; park the storage (§12). limbo is set
-            // before live clears so a concurrent live-or-limbo check
-            // never sees the transient neither state. The content
-            // stays intact for readers already inside a guard; the
-            // deferred free clears it and recycles the slot at grace
-            // expiry. Retirement consumes the store's reference.
-            e.limbo.store(true, std::memory_order_release);
-            e.live.store(false, std::memory_order_release);
-            limboLines_.fetch_add(1, std::memory_order_relaxed);
-            epoch_.defer(&LineStore::limboFreeOverflowThunk, this,
-                         plid);
-        } else {
-            e.live.store(false, std::memory_order_release);
-            e.line = Line(lineWords_);
-            shard.freeList.push_back(idx);
-        }
+        // Unpublish now; park the storage (§12). limbo is set before
+        // live clears so a concurrent live-or-limbo check never sees
+        // the transient neither state. The content stays intact for
+        // readers already inside a guard; the deferred free clears it
+        // and recycles the slot at grace expiry. Retirement consumes
+        // the store's reference.
+        e.limbo.store(true, std::memory_order_release);
+        e.live.store(false, std::memory_order_release);
+        limboLines_.fetch_add(1, std::memory_order_relaxed);
+        epoch_.defer(&LineStore::limboFreeOverflowThunk, this, plid);
         overflowLive_.fetch_sub(1, std::memory_order_relaxed);
         const std::uint64_t prev =
             liveLines_.fetch_sub(1, std::memory_order_relaxed);
@@ -791,24 +749,13 @@ LineStore::retireLocked(Plid plid)
         return std::nullopt;
     }
     Retired out{materialize(slot), bucket, false};
-    if (limits_.epochReclaim) {
-        // Unpublish now, park the way (§12): signature and content
-        // stay intact for in-flight readers until grace expiry, and
-        // the allocator skips limbo ways.
-        setSlotLimbo(slot, true);
-        setSlotLive(slot, false);
-        limboLines_.fetch_add(1, std::memory_order_relaxed);
-        epoch_.defer(&LineStore::limboFreeHomeThunk, this, slot);
-    } else {
-        setSlotLive(slot, false);
-        sigs_[slot] = 0;
-        Word *w = &words_[slot * lineWords_];
-        std::uint16_t *m = &metas_[slot * lineWords_];
-        for (unsigned i = 0; i < lineWords_; ++i) {
-            w[i] = 0;
-            m[i] = 0;
-        }
-    }
+    // Unpublish now, park the way (§12): signature and content stay
+    // intact for in-flight readers until grace expiry, and the
+    // allocator skips limbo ways.
+    setSlotLimbo(slot, true);
+    setSlotLive(slot, false);
+    limboLines_.fetch_add(1, std::memory_order_relaxed);
+    epoch_.defer(&LineStore::limboFreeHomeThunk, this, slot);
     const std::uint64_t prev =
         liveLines_.fetch_sub(1, std::memory_order_relaxed);
     HICAMP_ASSERT(prev > 0, "live line count underflow");

@@ -31,9 +31,7 @@
  *    unpublishes a line but parks its storage in limbo, and the slot
  *    is cleared and reused only after a grace period proves no
  *    reader that could still see it remains. Content-reading paths
- *    pin an EpochGuard for their extent. Limits::epochReclaim=false
- *    restores the seed's immediate-free behavior (reads of overflow
- *    content then fall back to the stripe's shared lock).
+ *    pin an EpochGuard for their extent.
  *
  * This class is pure state plus protocol *descriptions* (which DRAM
  * rows an operation touches); traffic attribution and cache filtering
@@ -105,13 +103,6 @@ class LineStore
         /// reference-count field width; counts saturate sticky at
         /// 2^bits - 1 (§3.1: limited-width counts, saturating)
         unsigned refcountBits = 32;
-        /// Epoch-based reclamation (§12): retire() parks storage in
-        /// limbo and read paths run lock-free under an EpochGuard.
-        /// false restores the seed's immediate-free, stripe-locked
-        /// behavior (the bench's "sharded" mode).
-        bool epochReclaim = true;
-        /// retirements batched per epoch-advance attempt
-        unsigned epochBatchSize = 32;
     };
 
     /**
@@ -190,14 +181,12 @@ class LineStore
 
     /**
      * Read a line by PLID. Zero PLID returns the all-zero line.
-     * Entirely lock-free under epoch reclamation: the whole copy
-     * runs inside an EpochGuard, so a concurrent retire() parks the
-     * storage in limbo instead of clearing it under us (§12). With
-     * epochReclaim off, overflow lines are copied under the stripe's
-     * shared lock instead. The caller must hold a reference or be
-     * inside a guard that predates retirement — reading a PLID that
-     * was already *physically* freed is undefined. Exempt from the
-     * capability analysis: reads published content with no lock,
+     * Entirely lock-free: the whole copy runs inside an EpochGuard,
+     * so a concurrent retire() parks the storage in limbo instead of
+     * clearing it under us (§12). The caller must hold a reference
+     * or be inside a guard that predates retirement — reading a PLID
+     * that was already *physically* freed is undefined. Exempt from
+     * the capability analysis: reads published content with no lock,
      * made sound by the liveMask_ release/acquire publication
      * protocol plus the epoch grace period (DESIGN.md §7/§12), which
      * the lock model cannot express.
@@ -254,7 +243,7 @@ class LineStore
     void forEachLimbo(const std::function<void(Plid)> &fn) const;
     /// @}
 
-    /// @name Stripe-lock traffic counters (bench lock-wall model)
+    /// @name Stripe-lock traffic counters (the zero-lock read proof)
     /// @{
     /** Exclusive stripe-lock acquisitions since construction. */
     std::uint64_t stripeLockExclusiveOps() const;
@@ -331,12 +320,12 @@ class LineStore
      * bucket's stripe lock, and findOrInsert(take_ref) re-increments
      * under it.
      *
-     * Under epoch reclamation the unpublish is immediate but the
-     * physical free is deferred: the slot goes to limbo and is
-     * cleared/reused only at grace expiry, so lock-free readers that
-     * entered their guard before this call still see intact storage
-     * (§12). The store's one reference on the content is consumed
-     * here, at retirement — limbo parks storage, not ownership.
+     * The unpublish is immediate but the physical free is deferred:
+     * the slot goes to limbo and is cleared/reused only at grace
+     * expiry, so lock-free readers that entered their guard before
+     * this call still see intact storage (§12). The store's one
+     * reference on the content is consumed here, at retirement —
+     * limbo parks storage, not ownership.
      */
     HICAMP_REF_PRIMITIVE std::optional<Retired> retire(Plid plid)
         HICAMP_EXCLUDES(stripes_);
@@ -585,9 +574,6 @@ class LineStore
         lockShared_[stripe].fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** refCount() body; debug-asserts the epoch-guard discipline. */
-    std::uint32_t refCountImpl(Plid plid) const;
-
     /** Saturating commutative refcount adjust (shared CAS loop). */
     std::uint32_t adjustRef(HICAMP_ATOMIC_CLAIM_CAS
                             std::atomic<std::uint32_t> &r,
@@ -648,7 +634,7 @@ class LineStore
     /// before any member is destroyed.
     mutable EpochManager epoch_;
 
-    /// per-stripe lock-acquisition tallies (bench lock-wall model)
+    /// per-stripe lock-acquisition tallies (stripeLock*Ops)
     HICAMP_ATOMIC_COUNTER mutable std::vector<std::atomic<std::uint64_t>>
         lockExcl_;
     HICAMP_ATOMIC_COUNTER mutable std::vector<std::atomic<std::uint64_t>>

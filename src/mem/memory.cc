@@ -19,8 +19,7 @@ Memory::Memory(const MemoryConfig &cfg)
     : cfg_(cfg),
       store_(cfg.numBuckets, cfg.lineBytes / kWordBytes,
              LineStore::Limits{cfg.overflowCapacity, cfg.maxLiveLines,
-                               cfg.refcountBits, cfg.epochReclaim,
-                               cfg.epochBatchSize},
+                               cfg.refcountBits},
              cfg.lockStripes),
       l2_(cfg.l2Bytes, cfg.l2Ways, cfg.lineBytes,
           /*content_searchable=*/true),
@@ -211,7 +210,6 @@ Memory::rcTouch(Plid plid)
 HICAMP_REF_PRIMITIVE Plid
 Memory::lookup(const Line &content, bool *was_new)
 {
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     return lookupImpl(content, was_new);
 }
@@ -340,7 +338,6 @@ Memory::lookupImpl(const Line &content, bool *was_new)
 HICAMP_REF_PRIMITIVE Plid
 Memory::internLine(const Line &content)
 {
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     bool fresh = false;
     Plid plid;
@@ -364,14 +361,6 @@ Memory::internLine(const Line &content)
         }
     }
     return plid;
-}
-
-Line
-Memory::readLine(Plid plid, DramCat cat)
-{
-    auto g = guard();
-    DramStats::WriterScope ws(dram_);
-    return readLineImpl(plid, cat);
 }
 
 void
@@ -427,15 +416,16 @@ Memory::modelLineFetch(Plid plid, std::uint64_t home,
 }
 
 Line
-Memory::readLineImpl(Plid plid, DramCat cat)
+Memory::readLine(Plid plid, DramCat cat)
 {
+    DramStats::WriterScope ws(dram_);
     if (plid == kZeroPlid)
         return makeLine();
     HICAMP_TRACE_SCOPE(Mem, ReadLine, plid, cfg_.lineBytes);
     ++readOps_;
     Line content;
     std::uint64_t home;
-    if (cfg_.epochReclaim) {
+    {
         // Zero-lock read section (§12): one guard pins the epoch
         // across the ground-truth copy and the home-bucket fetch; the
         // store's internal guards simply re-enter it (the nesting
@@ -443,12 +433,6 @@ Memory::readLineImpl(Plid plid, DramCat cat)
         // reference, so the worst case is a line sitting in limbo,
         // whose content is intact by the limbo invariant.
         EpochGuard eg(store_.epochDomain());
-        content = store_.read(plid);
-        home = store_.bucketOfPlid(plid);
-    } else {
-        // Legacy mode: the store takes stripe shared locks internally
-        // for overflow lines; home-bucket reads stay lock-free via
-        // publication ordering.
         content = store_.read(plid);
         home = store_.bucketOfPlid(plid);
     }
@@ -461,7 +445,6 @@ Memory::incRef(Plid plid)
 {
     if (plid == kZeroPlid)
         return;
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     HICAMP_TRACE_EVENT(Mem, IncRef, plid, 0);
     // Fault injection: model a refcount update that overflows its
@@ -481,7 +464,6 @@ Memory::tryRetain(Plid plid)
 {
     if (plid == kZeroPlid)
         return true;
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     {
         // §12: pin the conditional CAS and its liveness revalidation
@@ -505,7 +487,6 @@ Memory::tryRetain(Plid plid)
 HICAMP_REF_PRIMITIVE void
 Memory::decRef(Plid plid)
 {
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     decRefImpl(plid);
 }
@@ -585,14 +566,12 @@ Memory::reclaim(Plid first)
 std::uint32_t
 Memory::refCount(Plid plid) const
 {
-    auto g = guard();
     return store_.refCount(plid);
 }
 
 bool
 Memory::isLive(Plid plid) const
 {
-    auto g = guard();
     return store_.isLive(plid);
 }
 
@@ -605,7 +584,6 @@ Memory::allocTransient()
 void
 Memory::transientAccess(std::uint64_t transient_id, bool write)
 {
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     HICAMP_TRACE_EVENT(Mem, Transient, transient_id, cfg_.lineBytes);
     const CacheKey key{LineKind::Transient, transient_id};
@@ -630,7 +608,6 @@ Memory::transientAccess(std::uint64_t transient_id, bool write)
 void
 Memory::invalidateTransient(std::uint64_t transient_id)
 {
-    auto g = guard();
     const CacheKey key{LineKind::Transient, transient_id};
     const std::uint64_t home = mix64(transient_id);
     forEachL1([&](HicampCache &l1) { l1.invalidate(key, home); });
@@ -640,7 +617,6 @@ Memory::invalidateTransient(std::uint64_t transient_id)
 void
 Memory::vsmAccess(Vsid vsid, bool write)
 {
-    auto g = guard();
     DramStats::WriterScope ws(dram_);
     HICAMP_TRACE_EVENT(Mem, VsmTouch, vsid, 0);
     const std::uint64_t id = kVsmIdBase | vsid;
@@ -657,21 +633,18 @@ Memory::vsmAccess(Vsid vsid, bool write)
 void
 Memory::setVsidReleaseHook(std::function<void(Vsid)> hook)
 {
-    auto g = guard();
     vsidRelease_ = std::move(hook);
 }
 
 void
 Memory::setLineFreedHook(std::function<void(Plid)> hook)
 {
-    auto g = guard();
     lineFreed_ = std::move(hook);
 }
 
 void
 Memory::resetTraffic()
 {
-    auto g = guard();
     dram_.reset();
     lookupOps_.reset();
     readOps_.reset();

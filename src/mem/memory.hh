@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "common/atomic_annotations.hh"
 #include "common/backoff.hh"
@@ -54,25 +53,10 @@ struct MemoryConfig {
     /// @name Concurrency model
     /// @{
     /// lock stripes over the hash buckets (power of two; clamped to
-    /// numBuckets): operations in distinct stripes proceed in
-    /// parallel, as independent DRAM rows would
+    /// numBuckets): writers in distinct stripes proceed in parallel,
+    /// as independent DRAM rows would. Reads and dedup-hit lookups
+    /// take no stripe (epoch reclamation, DESIGN.md §12).
     unsigned lockStripes = 64;
-    /// serialize every operation through one global recursive lock —
-    /// the pre-sharding behavior, kept as an in-binary baseline so
-    /// scaling benches can measure the sharded design against the
-    /// global-lock convoy on identical workloads
-    bool globalLock = false;
-    /// epoch-based reclamation (DESIGN.md §12): read/lookup hot paths
-    /// run under an EpochGuard instead of the stripe shared lock, and
-    /// 1→0 retirement parks storage in limbo until a grace period
-    /// expires. Clearing this restores the immediate-free, fully
-    /// stripe-locked design (the "sharded" bench baseline).
-    bool epochReclaim = true;
-    /// retirements that accumulate before a retiring writer attempts
-    /// an epoch advance (grace-period batching: higher values
-    /// amortize the grace check's record scan over more frees at the
-    /// cost of deeper limbo; see README "Threading knobs")
-    unsigned epochBatchSize = 32;
     /// @}
 
     /// @name Finite-capacity / fault model
@@ -99,9 +83,9 @@ struct MemoryConfig {
  *
  * Thread-safe, without a global ordering point: synchronization is
  * striped over the store's hash buckets, reference counts are atomic,
- * and reads of (immutable) published lines are lock-free — under
- * epoch reclamation (the default, §12) the read/lookup hot paths run
- * in epoch-pinned sections that acquire no lock at all — see
+ * and reads of (immutable) published lines are lock-free — epoch
+ * reclamation (§12) runs the read/lookup hot paths in epoch-pinned
+ * sections that acquire no lock at all — see
  * DESIGN.md §7 for the full concurrency model and lock order. The
  * paper's architecture needs no data-line coherence because lines are
  * immutable; the sharding here is the software analogue of its
@@ -173,9 +157,9 @@ class Memory
      * incRef(), the caller need not already hold a reference proving
      * the line stays live.
      *
-     * Under epoch reclamation the CAS and its liveness revalidation
-     * are pinned inside one epoch guard (§12), so the slot cannot be
-     * physically recycled between the count update and the re-check.
+     * The CAS and its liveness revalidation are pinned inside one
+     * epoch guard (§12), so the slot cannot be physically recycled
+     * between the count update and the re-check.
      */
     HICAMP_ACQUIRES_REF bool tryRetain(Plid plid);
 
@@ -370,7 +354,6 @@ class Memory
     void
     flushAndResetTraffic()
     {
-        auto g = guard();
         forEachL1([](HicampCache &l1) { l1.cleanAll(); });
         l2_.cleanAll();
         resetTraffic();
@@ -386,7 +369,6 @@ class Memory
     void
     flushTraffic()
     {
-        auto g = guard();
         forEachL1([](HicampCache &l1) { l1.cleanAll(); });
         l2_.cleanAll();
     }
@@ -399,7 +381,6 @@ class Memory
     void
     coldResetTraffic()
     {
-        auto g = guard();
         forEachL1([](HicampCache &l1) { l1.invalidateAll(); });
         l2_.invalidateAll();
         resetTraffic();
@@ -414,29 +395,13 @@ class Memory
     void
     coldCaches()
     {
-        auto g = guard();
         forEachL1([](HicampCache &l1) { l1.invalidateAll(); });
         l2_.invalidateAll();
     }
     /// @}
 
   private:
-    /**
-     * The globalLock baseline: every public operation funnels through
-     * one recursive mutex, exactly as before the sharded design. In
-     * the default mode the guard is empty and synchronization lives in
-     * the layers below (stripe locks, atomic counts, cache set locks).
-     */
-    std::unique_lock<std::recursive_mutex>
-    guard() const
-    {
-        return cfg_.globalLock
-                   ? std::unique_lock<std::recursive_mutex>(mutex_)
-                   : std::unique_lock<std::recursive_mutex>();
-    }
-
     HICAMP_REF_PRIMITIVE Plid lookupImpl(const Line &content, bool *was_new);
-    Line readLineImpl(Plid plid, DramCat cat);
     HICAMP_REF_PRIMITIVE void decRefImpl(Plid plid)
         HICAMP_EXCLUDES(lockrank::vsm);
     HICAMP_REF_PRIMITIVE void reclaim(Plid plid)
@@ -514,12 +479,6 @@ class Memory
     AtomicCounter flipsRecovered_;
     AtomicCounter flipsSilent_;
     StatGroup pressure_{"mem.pressure"};
-
-    /// globalLock baseline only (§7 rank 1). Deliberately unannotated:
-    /// guard() acquires it *conditionally*, which the capability
-    /// analysis cannot express (DESIGN.md §8) — the baseline path is
-    /// covered by the TSan job instead.
-    mutable std::recursive_mutex mutex_;
 
     /// Declared last: destroyed first, so registered callbacks (which
     /// capture pointers into this object) are detached from the

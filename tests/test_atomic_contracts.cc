@@ -87,7 +87,9 @@ TEST(AtomicContracts, PublishAcquireHandoff)
  * owner's plain-field writes) and the handback is a release. Exactly
  * one claimant may win each round, and the unsynchronized tally the
  * winners keep is single-writer-at-a-time by construction — a lost
- * ordering edge shows up as a TSan race or a miscount.
+ * ordering edge shows up as a TSan race or a miscount. Every thread
+ * retries until it has won kRounds claims, so the totals are exact
+ * however the threads interleave.
  */
 TEST(AtomicContracts, CasClaimRace)
 {
@@ -103,16 +105,19 @@ TEST(AtomicContracts, CasClaimRace)
     std::vector<std::thread> threads;
     for (int t = 1; t <= kThreads; ++t) {
         threads.emplace_back([&, t] {
-            for (int i = 0; i < kRounds; ++i) {
+            for (int won = 0; won < kRounds;) {
                 int expected = 0;
                 // Failure order stays acquire (never release, never
-                // stronger than success): losers just retry later.
+                // stronger than success): losers just retry.
                 if (slot.owner.compare_exchange_strong(
                         expected, t, std::memory_order_acq_rel,
                         std::memory_order_acquire)) {
                     ++slot.tally; // exclusive by claim
                     wins.fetch_add(1, std::memory_order_relaxed);
                     slot.owner.store(0, std::memory_order_release);
+                    ++won;
+                } else {
+                    std::this_thread::yield();
                 }
             }
         });
@@ -121,8 +126,9 @@ TEST(AtomicContracts, CasClaimRace)
         th.join();
     // Every successful claim incremented the plain tally exactly
     // once; the acquire/release claim chain makes them all visible.
-    EXPECT_EQ(slot.tally, wins.load());
-    EXPECT_GE(wins.load(), static_cast<std::uint64_t>(kRounds));
+    constexpr std::uint64_t kClaims = std::uint64_t{kThreads} * kRounds;
+    EXPECT_EQ(wins.load(), kClaims);
+    EXPECT_EQ(slot.tally, kClaims);
 }
 
 /**

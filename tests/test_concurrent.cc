@@ -226,38 +226,6 @@ TEST(Concurrent, MixedWorkloadUnderInjectedAllocFailures)
     expectCleanAudit(hc);
 }
 
-TEST(Concurrent, GlobalLockBaselineStaysCorrect)
-{
-    // The in-binary global-lock baseline (MemoryConfig::globalLock)
-    // must remain functionally identical to the sharded design — the
-    // scaling bench depends on comparing the two on one workload.
-    MemoryConfig c = cfg();
-    c.globalLock = true;
-    Hicamp hc(c);
-    constexpr int kThreads = 4;
-    constexpr int kKeys = 24;
-    {
-        HMap map(hc);
-        std::vector<std::thread> ts;
-        for (int t = 0; t < kThreads; ++t) {
-            ts.emplace_back([&, t] {
-                for (int i = 0; i < kKeys; ++i)
-                    map.set(HString(hc, "g" + std::to_string(t) + "-" +
-                                            std::to_string(i)),
-                            HString(hc, "x" + std::to_string(i)));
-            });
-        }
-        for (auto &th : ts)
-            th.join();
-        for (int t = 0; t < kThreads; ++t)
-            for (int i = 0; i < kKeys; ++i)
-                EXPECT_TRUE(map.contains(HString(
-                    hc, "g" + std::to_string(t) + "-" +
-                            std::to_string(i))));
-    }
-    expectCleanAudit(hc);
-}
-
 TEST(Concurrent, SnapshotsStayPinnedAcrossConcurrentCommits)
 {
     Hicamp hc(cfg());

@@ -447,9 +447,7 @@ TEST(Epoch, AllocFailureWhileLineInLimbo)
 
 TEST(Epoch, MemoryExportsEpochMetrics)
 {
-    MemoryConfig cfg;
-    cfg.epochBatchSize = 1; // advance on every retirement
-    Memory mem(cfg);
+    Memory mem;
     const Plid p = mem.lookup(lineOf(mem.lineWords(), 5005));
     mem.decRef(p);
     mem.store().epochSynchronize();
@@ -462,18 +460,63 @@ TEST(Epoch, MemoryExportsEpochMetrics)
     EXPECT_EQ(mem.metrics().histogram("epoch.grace_ns").count(), 1u);
 }
 
-TEST(Epoch, DisabledModeFreesImmediately)
+TEST(Epoch, ReadsAndDedupHitsTakeNoStripeLock)
 {
-    LineStore::Limits lim;
-    lim.epochReclaim = false;
-    LineStore s(1 << 10, 2, lim);
-    auto r = s.findOrInsert(lineOf(2, 9, 9));
-    s.freeLine(r.plid);
-    // Legacy (sharded) mode: no limbo, the way is immediately free.
-    EXPECT_EQ(s.limboLines(), 0u);
-    auto r2 = s.findOrInsert(lineOf(2, 9, 9));
-    EXPECT_FALSE(r2.found);
-    EXPECT_EQ(r2.plid, r.plid);
+    // DESIGN.md §12 proof chain (3): readLine and a lookup that hits
+    // the dedup index finish without a stripe lock, at any thread
+    // count. The L2 holds a quarter of the population, so most
+    // lookups miss the content cache and probe the store itself.
+    MemoryConfig cfg;
+    cfg.numBuckets = 1 << 14;
+    cfg.lockStripes = 16;
+    cfg.l2Bytes = 16 * 1024;
+    cfg.faults.allowEnvOverride = false;
+    Memory mem(cfg);
+    constexpr int kLines = 4096;
+    constexpr int kRounds = 400;
+    const auto contentOf = [&](std::uint64_t i) {
+        return lineOf(mem.lineWords(), 0x5a0000 + i, i * 2654435761u + 1);
+    };
+    std::vector<Plid> plids(kLines);
+    for (int i = 0; i < kLines; ++i)
+        plids[i] = mem.lookup(contentOf(i));
+    // An overflow resident would send its lookups to the locked path.
+    ASSERT_EQ(mem.store().overflowLines(), 0u);
+    const auto lockOps = [&] {
+        return mem.store().stripeLockExclusiveOps() +
+               mem.store().stripeLockSharedOps();
+    };
+
+    for (int threads : {1, 4}) {
+        mem.coldCaches();
+        const std::uint64_t locks0 = lockOps();
+        const std::uint64_t hits0 = mem.dedupHits();
+        const std::uint64_t misses0 =
+            mem.metrics().snapshot().counter("cache.l2.misses");
+        std::vector<std::thread> ts;
+        for (int t = 0; t < threads; ++t) {
+            ts.emplace_back([&, t] {
+                Rng rng(100 + t);
+                for (int r = 0; r < kRounds; ++r) {
+                    const std::uint64_t i = rng.below(kLines);
+                    EXPECT_EQ(mem.readLine(plids[i]), contentOf(i));
+                    const std::uint64_t j = rng.below(kLines);
+                    const Plid p = mem.lookup(contentOf(j));
+                    EXPECT_EQ(p, plids[j]);
+                    mem.decRef(p); // the setup reference keeps it live
+                }
+            });
+        }
+        for (auto &th : ts)
+            th.join();
+        EXPECT_EQ(lockOps(), locks0) << threads << " threads";
+        EXPECT_EQ(mem.dedupHits() - hits0,
+                  static_cast<std::uint64_t>(threads) * kRounds);
+        EXPECT_GT(mem.metrics().snapshot().counter("cache.l2.misses"),
+                  misses0);
+    }
+    for (Plid p : plids)
+        mem.decRef(p);
 }
 
 } // namespace

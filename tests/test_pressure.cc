@@ -28,6 +28,7 @@
 #include "lang/harray.hh"
 #include "lang/hmap.hh"
 #include "lang/hstring.hh"
+#include "lang/htable.hh"
 #include "seg/builder.hh"
 #include "seg/iterator.hh"
 #include "vsm/segment_map.hh"
@@ -228,6 +229,37 @@ TEST(Pressure, BuildRetriesExhaustIntoTypedError)
     EXPECT_GE(mem.contention().exhausted.load(), 1u);
     EXPECT_EQ(mem.liveLines(), 0u) << "failed build must roll back";
     expectCleanAudit(mem, nullptr);
+}
+
+TEST(Pressure, SelectAbsorbsTransientAllocFaults)
+{
+    Hicamp hc(baseCfg());
+    constexpr std::uint64_t kRows = 96;
+    {
+        HTable table(hc);
+        for (std::uint64_t i = 0; i < kRows; ++i)
+            table.insert(HString(hc, "row-" + std::to_string(i)));
+
+        // The view's build interns ~kRows fresh lines over PLID
+        // inputs, which buildWords cannot retry in place (the failed
+        // attempt consumed them): select() must retry the whole
+        // snapshot-and-build instead.
+        FaultConfig fc;
+        fc.allocFailP = 0.01;
+        hc.mem.faults().reconfigure(fc);
+        HView all = table.select([](const HString &) { return true; });
+        hc.mem.faults().reconfigure({});
+
+        EXPECT_GT(hc.mem.faults().allocFailsInjected(), 0u);
+        EXPECT_GT(hc.mem.contention().retries.load(), 0u);
+        ASSERT_EQ(all.size(), kRows);
+        for (std::uint64_t i = 0; i < kRows; ++i)
+            EXPECT_EQ(all.row(i).str(), "row-" + std::to_string(i));
+    }
+    // The view's root is held outside the segment map, so the audit
+    // runs once view and table are gone: a leaked retry would show.
+    EXPECT_EQ(hc.mem.liveLines(), 0u);
+    expectCleanAudit(hc);
 }
 
 TEST(Pressure, CommitOomRollsBackAndBuffersSurvive)
