@@ -8,8 +8,12 @@
  * Paper setup: 100 K preloaded items from Facebook page dumps, 15 K
  * requests with power-law popularity and sizes. Our corpus is the
  * synthetic web corpus (see DESIGN.md substitutions), scaled to
- * HICAMP_MC_ITEMS items (default 20000) to fit a laptop-class run;
+ * HICAMP_MC_ITEMS items (default 30000) to fit a laptop-class run;
  * the request count matches the paper's 15000.
+ *
+ * The HICAMP side replays through server::McStore, the store that
+ * serves hicamp_server, with its default 16 shards: each GET reloads
+ * one iterator register, as a serving worker does.
  */
 
 #include <bit>
@@ -17,9 +21,9 @@
 #include <cstdlib>
 
 #include "apps/memcached/conv_memcached.hh"
-#include "apps/memcached/hicamp_memcached.hh"
 #include "bench_obs.hh"
 #include "common/table.hh"
+#include "server/store.hh"
 #include "workloads/memcached_workload.hh"
 
 using namespace hicamp;
@@ -86,9 +90,10 @@ runHicamp(const std::vector<WebItem> &items,
         WebCorpus::totalBytes(items) * 3 / ls / 12 + (1 << 14);
     cfg.numBuckets = std::bit_ceil(need);
     Hicamp hc(cfg);
-    HicampMemcached mc(hc);
+    server::McStore mc(hc);
+    IteratorRegister reg(hc.mem, hc.vsm);
     for (const auto &it : items)
-        mc.set(it.key, it.payload);
+        mc.set(it.key, 0, it.payload);
     // Warmup writebacks complete uncounted; the counters are NOT
     // reset — the measured phase is the registry delta below.
     hc.mem.flushTraffic();
@@ -100,13 +105,13 @@ runHicamp(const std::vector<WebItem> &items,
         const std::string &key = items[r.itemIndex].key;
         switch (r.op) {
           case McRequest::Op::Get:
-            mc.get(key);
+            mc.get(reg, key);
             break;
           case McRequest::Op::Set:
-            mc.set(key, r.newValue);
+            mc.set(key, 0, r.newValue);
             break;
           case McRequest::Op::Delete:
-            mc.del(key);
+            mc.erase(key);
             break;
         }
     }

@@ -18,7 +18,6 @@
 #ifndef HICAMP_MEM_MEMORY_HH
 #define HICAMP_MEM_MEMORY_HH
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -284,16 +283,6 @@ class Memory
     bankActivations(unsigned stripe) const
     {
         return bankActs_[stripe].value();
-    }
-
-    /** Activations of the hottest bank (the bank-parallel critical path). */
-    std::uint64_t
-    maxBankActivations() const
-    {
-        std::uint64_t m = 0;
-        for (unsigned s = 0; s < store_.numStripes(); ++s)
-            m = std::max(m, bankActivations(s));
-        return m;
     }
 
     /// @name Memory-pressure model

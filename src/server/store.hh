@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/backoff.hh"
 #include "lang/hsharded_map.hh"
 
 namespace hicamp::server {
@@ -104,7 +105,10 @@ class McStore
      * memcached incr/decr: the value must be an ASCII uint64. Incr
      * wraps at 2^64 (protocol behaviour), decr saturates at zero.
      * Atomic via value-conditional commit: losing a race with a
-     * concurrent writer re-reads and retries, so no update is lost.
+     * concurrent writer backs off, re-reads and retries, so no update
+     * is lost. The memory's RetryPolicy bounds the retries and
+     * ContentionStats counts them; a spent budget throws
+     * MemPressureError (TooManyConflicts) with the value untouched.
      */
     ArithStatus
     arith(std::string_view key, std::uint64_t delta, bool incr,
@@ -112,6 +116,7 @@ class McStore
     {
         HString k(hc_, key);
         HMap &shard = map_.shard(map_.shardOf(k));
+        CommitRetry retry(hc_.mem.retryPolicy(), &hc_.mem.contention());
         for (;;) {
             auto cur = shard.get(k);
             if (!cur)
@@ -127,7 +132,10 @@ class McStore
                 result = nv;
                 return ArithStatus::Ok;
             }
-            // Value moved under us (or was deleted): loop re-reads.
+            // Value moved under us (or was deleted): re-read.
+            if (!retry.onConflict())
+                throwRetriesExhausted(MemStatus::Ok,
+                                      "McStore::arith value race");
         }
     }
 

@@ -2,16 +2,18 @@
  * @file
  * Memcached model tests: conventional baseline correctness (hit/miss,
  * replace, delete, chain handling, DRAM traffic plausibility) and the
- * HICAMP implementation (correctness, dedup of repeated values,
- * category traffic), plus the workload generators.
+ * HICAMP store the server runs, `server::McStore` (correctness, dedup
+ * of repeated values, category traffic, atomic incr), plus the
+ * workload generators.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "apps/memcached/conv_memcached.hh"
-#include "apps/memcached/hicamp_memcached.hh"
+#include "server/store.hh"
 #include "workloads/memcached_workload.hh"
 
 namespace hicamp {
@@ -167,7 +169,7 @@ TEST(ConvMemcached, SlabMemoryIsReused)
 }
 
 struct HicampMcFixture : ::testing::Test {
-    HicampMcFixture() : hc(cfg()), mc(hc) {}
+    HicampMcFixture() : hc(cfg()), mc(hc), reg(hc.mem, hc.vsm) {}
     static MemoryConfig
     cfg()
     {
@@ -175,19 +177,30 @@ struct HicampMcFixture : ::testing::Test {
         c.numBuckets = 1 << 14;
         return c;
     }
+
+    /** Payload stored under @p key, read through the test's register. */
+    std::optional<std::string>
+    get(const std::string &key)
+    {
+        auto v = mc.get(reg, key);
+        if (!v)
+            return std::nullopt;
+        return v->data;
+    }
+
     Hicamp hc;
-    HicampMemcached mc;
+    server::McStore mc;
+    IteratorRegister reg;
 };
 
 TEST_F(HicampMcFixture, SetGetDelete)
 {
-    EXPECT_FALSE(mc.get("absent").has_value());
-    mc.set("k1", std::string(300, 'v'));
-    auto got = mc.get("k1");
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 300u);
-    EXPECT_TRUE(mc.del("k1"));
-    EXPECT_FALSE(mc.get("k1").has_value());
+    EXPECT_FALSE(get("absent").has_value());
+    mc.set("k1", 0, std::string(300, 'v'));
+    EXPECT_EQ(get("k1"), std::string(300, 'v'));
+    EXPECT_TRUE(mc.erase("k1"));
+    EXPECT_FALSE(get("k1").has_value());
+    EXPECT_FALSE(mc.erase("k1"));
 }
 
 TEST_F(HicampMcFixture, RepeatedValuesDeduplicate)
@@ -199,11 +212,11 @@ TEST_F(HicampMcFixture, RepeatedValuesDeduplicate)
         std::uint64_t w = rng.next();
         common.append(reinterpret_cast<const char *>(&w), 8);
     }
-    mc.set("a", common);
+    mc.set("a", 0, common);
     std::uint64_t after_one = hc.mem.liveBytes();
     EXPECT_GT(after_one, common.size()); // leaves + DAG overhead
     for (int i = 0; i < 10; ++i)
-        mc.set("dup" + std::to_string(i), common);
+        mc.set("dup" + std::to_string(i), 0, common);
     // Ten more copies of the same value add only map/pair overhead —
     // a few hundred bytes each, nothing like ten more value bodies.
     EXPECT_LT(hc.mem.liveBytes(), after_one + 10 * 600);
@@ -211,71 +224,103 @@ TEST_F(HicampMcFixture, RepeatedValuesDeduplicate)
 
 TEST_F(HicampMcFixture, GetGeneratesNoWriteTraffic)
 {
-    mc.set("ro", std::string(2000, 'r'));
+    mc.set("ro", 0, std::string(2000, 'r'));
     hc.mem.resetTraffic();
-    mc.get("ro");
+    EXPECT_TRUE(get("ro").has_value());
     EXPECT_EQ(hc.mem.dram().writes(), 0u);
     EXPECT_EQ(hc.mem.dram().deallocs(), 0u);
 }
 
 TEST_F(HicampMcFixture, AddOnlyIfAbsent)
 {
-    EXPECT_TRUE(mc.add("fresh", "v1"));
-    EXPECT_FALSE(mc.add("fresh", "v2")); // already present
-    mc.del("fresh");
-    EXPECT_TRUE(mc.add("fresh", "v3")); // present again after delete
+    EXPECT_TRUE(mc.add("fresh", 0, "v1"));
+    EXPECT_FALSE(mc.add("fresh", 0, "v2")); // already present
+    EXPECT_EQ(get("fresh"), "v1");
+    mc.erase("fresh");
+    EXPECT_TRUE(mc.add("fresh", 0, "v3")); // absent again after delete
 }
 
 TEST_F(HicampMcFixture, ReplaceOnlyIfPresent)
 {
-    EXPECT_FALSE(mc.replace("ghost", "x"));
-    mc.set("ghost", "v1");
-    EXPECT_TRUE(mc.replace("ghost", "v2"));
-    EXPECT_EQ(*mc.get("ghost"), 2u);
+    EXPECT_FALSE(mc.replace("ghost", 0, "x"));
+    mc.set("ghost", 0, "v1");
+    EXPECT_TRUE(mc.replace("ghost", 0, "v2"));
+    EXPECT_EQ(get("ghost"), "v2");
 }
 
 TEST_F(HicampMcFixture, IncrDecrSemantics)
 {
-    EXPECT_FALSE(mc.incr("counter", 1).has_value()); // absent
-    mc.set("counter", "100");
-    EXPECT_EQ(*mc.incr("counter", 5), 105);
-    EXPECT_EQ(*mc.incr("counter", -30), 75);
-    mc.set("notanumber", "abc");
-    EXPECT_FALSE(mc.incr("notanumber", 1).has_value());
+    using Status = server::McStore::ArithStatus;
+    std::uint64_t v = 0;
+    EXPECT_EQ(mc.arith("counter", 1, true, v), Status::NotFound);
+    mc.set("counter", 7, "100");
+    ASSERT_EQ(mc.arith("counter", 5, true, v), Status::Ok);
+    EXPECT_EQ(v, 105u);
+    ASSERT_EQ(mc.arith("counter", 30, false, v), Status::Ok);
+    EXPECT_EQ(v, 75u);
+    ASSERT_EQ(mc.arith("counter", 100, false, v), Status::Ok);
+    EXPECT_EQ(v, 0u); // decr saturates at zero
+    EXPECT_EQ(mc.get(reg, "counter")->flags, 7u); // flags survive
+    mc.set("counter", 0, "18446744073709551615");
+    ASSERT_EQ(mc.arith("counter", 1, true, v), Status::Ok);
+    EXPECT_EQ(v, 0u); // incr wraps at 2^64
+    EXPECT_EQ(get("counter"), "0");
+    mc.set("notanumber", 0, "abc");
+    EXPECT_EQ(mc.arith("notanumber", 1, true, v), Status::NotNumber);
 }
 
-TEST_F(HicampMcFixture, IncrIsAtomicUnderThreads)
+TEST(McStore, ConcurrentIncrLosesNoUpdate)
 {
-    mc.set("hits", "0");
+    // Four threads incr one key. A value race backs off, re-reads and
+    // retries; a spent retry budget throws MemPressureError (the
+    // server's SERVER_ERROR) without touching the value. Either way
+    // the final count is exactly the increments that answered Ok.
+    MemoryConfig cfg;
+    cfg.numBuckets = 1 << 14;
+    Hicamp hc(cfg);
+    server::McStore mc(hc);
+    mc.set("hits", 0, "0");
     constexpr int kThreads = 4, kIncs = 40;
+    std::atomic<std::uint64_t> applied{0};
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t) {
         ts.emplace_back([&] {
-            for (int i = 0; i < kIncs; ++i)
-                mc.incr("hits", 1);
+            for (int i = 0; i < kIncs; ++i) {
+                std::uint64_t v = 0;
+                try {
+                    if (mc.arith("hits", 1, true, v) ==
+                        server::McStore::ArithStatus::Ok)
+                        ++applied;
+                } catch (const MemPressureError &) {
+                    // Spent retry budget: not applied, checked below.
+                }
+            }
         });
     }
     for (auto &t : ts)
         t.join();
-    auto end = mc.incr("hits", 0);
+    IteratorRegister reg(hc.mem, hc.vsm);
+    auto end = mc.get(reg, "hits");
     ASSERT_TRUE(end.has_value());
-    EXPECT_EQ(*end, kThreads * kIncs);
+    EXPECT_EQ(end->data, std::to_string(applied.load()));
+    EXPECT_EQ(applied.load(), std::uint64_t{kThreads * kIncs});
 }
 
 TEST_F(HicampMcFixture, ValueCasDetectsInterference)
 {
-    Hicamp &h = hc;
-    HMap &map = mc.map();
-    HString k(h, "cas-key");
-    map.set(k, HString(h, "v1"));
+    HMap map(hc);
+    HString k(hc, "cas-key");
+    map.set(k, HString(hc, "v1"));
     // CAS with the right expected value succeeds...
-    EXPECT_TRUE(map.compareAndSet(k, HString(h, "v1"), HString(h, "v2")));
+    EXPECT_TRUE(
+        map.compareAndSet(k, HString(hc, "v1"), HString(hc, "v2")));
     // ...with a stale expected value fails...
-    EXPECT_FALSE(map.compareAndSet(k, HString(h, "v1"), HString(h, "v3")));
+    EXPECT_FALSE(
+        map.compareAndSet(k, HString(hc, "v1"), HString(hc, "v3")));
     EXPECT_EQ(map.get(k)->str(), "v2");
     // ...and on a missing key fails.
-    EXPECT_FALSE(map.compareAndSet(HString(h, "absent"), HString(h, "a"),
-                                   HString(h, "b")));
+    EXPECT_FALSE(map.compareAndSet(HString(hc, "absent"),
+                                   HString(hc, "a"), HString(hc, "b")));
 }
 
 TEST_F(HicampMcFixture, WorkloadEndToEnd)
@@ -286,7 +331,7 @@ TEST_F(HicampMcFixture, WorkloadEndToEnd)
     p.maxBytes = 3000;
     auto items = WebCorpus::generate(p);
     for (const auto &it : items)
-        mc.set(it.key, it.payload);
+        mc.set(it.key, 0, it.payload);
 
     McWorkloadParams wp;
     wp.numRequests = 500;
@@ -296,13 +341,13 @@ TEST_F(HicampMcFixture, WorkloadEndToEnd)
         const std::string &key = items[r.itemIndex].key;
         switch (r.op) {
           case McRequest::Op::Get:
-            mc.get(key).has_value() ? ++hits : ++misses;
+            get(key).has_value() ? ++hits : ++misses;
             break;
           case McRequest::Op::Set:
-            mc.set(key, r.newValue);
+            mc.set(key, 0, r.newValue);
             break;
           case McRequest::Op::Delete:
-            mc.del(key);
+            mc.erase(key);
             break;
         }
     }

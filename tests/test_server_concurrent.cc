@@ -8,6 +8,10 @@
  * the per-connection output lock, and snapshot GETs overlapping
  * merge-update SET commits.
  *
+ * One case serves the §5.1.2 request mix closed loop and checks the
+ * §3.1 bank-parallel figure from the run's per-bank row activations;
+ * under the HICAMP_FAULT_* environment it doubles as the fault soak.
+ *
  * The spin-then-park handshakes (server/park.hh) get their own cases:
  * requests that land on fully parked threads, and stop() while every
  * thread sleeps. The ServerIdle cases measure CPU time and round trips
@@ -16,106 +20,28 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <dirent.h>
-#include <netinet/in.h>
 #include <sched.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "audit_check.hh"
+#include "loopback_client.hh"
 #include "server/server.hh"
 #include "server/store.hh"
+#include "workloads/memcached_workload.hh"
 
 namespace hicamp::server {
 namespace {
-
-/** Blocking client; expectations are counted, not asserted, so the
- *  hammer threads stay gtest-safe (EXPECT only on the main thread). */
-class RawClient
-{
-  public:
-    explicit RawClient(std::uint16_t port)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return;
-        timeval tv{10, 0};
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof addr) != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-    ~RawClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    bool ok() const { return fd_ >= 0; }
-
-    bool
-    send(std::string_view bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            const ssize_t n =
-                ::write(fd_, bytes.data() + off, bytes.size() - off);
-            if (n <= 0)
-                return false;
-            off += static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-    /** Read until @p bytes bytes arrived (or the receive timeout). */
-    std::string
-    recvN(std::size_t bytes)
-    {
-        std::string out;
-        char buf[4096];
-        while (out.size() < bytes) {
-            const ssize_t n = ::read(fd_, buf, sizeof buf);
-            if (n <= 0)
-                break;
-            out.append(buf, static_cast<std::size_t>(n));
-        }
-        return out;
-    }
-
-    std::string
-    recvUntilClose()
-    {
-        std::string out;
-        char buf[4096];
-        for (;;) {
-            const ssize_t n = ::read(fd_, buf, sizeof buf);
-            if (n <= 0)
-                break;
-            out.append(buf, static_cast<std::size_t>(n));
-        }
-        return out;
-    }
-
-  private:
-    int fd_ = -1;
-};
 
 TEST(ServerConcurrent, ChurningConnectionsRaceSetGetDelete)
 {
@@ -142,7 +68,7 @@ TEST(ServerConcurrent, ChurningConnectionsRaceSetGetDelete)
     for (int t = 0; t < kThreads; ++t) {
         clients.emplace_back([t, port, &failures, &responsesSeen] {
             for (int conn = 0; conn < kConnsPerThread; ++conn) {
-                RawClient cli(port);
+                LoopbackClient cli(port);
                 if (!cli.ok()) {
                     ++failures;
                     continue;
@@ -227,7 +153,7 @@ TEST(ServerConcurrent, SnapshotGetsOverlapCommitsOnOneKey)
     std::atomic<std::uint64_t> failures{0};
 
     std::thread writer([port, &failures, &lenFor] {
-        RawClient cli(port);
+        LoopbackClient cli(port);
         if (!cli.ok()) {
             ++failures;
             return;
@@ -250,7 +176,7 @@ TEST(ServerConcurrent, SnapshotGetsOverlapCommitsOnOneKey)
     for (int r = 0; r < 2; ++r) {
         readers.emplace_back([port, &failures, &badReads, &goodReads,
                               &lenFor] {
-            RawClient cli(port);
+            LoopbackClient cli(port);
             if (!cli.ok()) {
                 ++failures;
                 return;
@@ -307,6 +233,162 @@ TEST(ServerConcurrent, SnapshotGetsOverlapCommitsOnOneKey)
     expectCleanAudit(hc);
 }
 
+constexpr std::string_view kOom = "SERVER_ERROR out of memory";
+
+std::string
+setCommand(const std::string &key, const std::string &value)
+{
+    return "set " + key + " 0 0 " + std::to_string(value.size()) +
+           "\r\n" + value + "\r\n";
+}
+
+/**
+ * Read the whole reply to an @p op request on @p key. A store may
+ * answer SERVER_ERROR (fault injection); a GET hit must return one of
+ * the values in @p legal. Anything else is a desync.
+ */
+bool
+readReply(LoopbackClient &cli, McRequest::Op op, const std::string &key,
+          const std::set<std::string> &legal)
+{
+    std::string line;
+    if (!cli.readLine(line))
+        return false;
+    if (op == McRequest::Op::Set)
+        return line == "STORED" || line == kOom;
+    if (op == McRequest::Op::Delete)
+        return line == "DELETED" || line == "NOT_FOUND" || line == kOom;
+    const std::string head = "VALUE " + key + " 0 ";
+    if (line.rfind(head, 0) == 0) {
+        const std::size_t len = static_cast<std::size_t>(
+            std::strtoull(line.c_str() + head.size(), nullptr, 10));
+        std::string block;
+        if (!cli.readN(len + 2, block) ||
+            block.compare(len, 2, "\r\n") != 0 ||
+            legal.count(block.substr(0, len)) == 0 ||
+            !cli.readLine(line))
+            return false;
+    }
+    return line == "END";
+}
+
+TEST(ServerConcurrent, SteadyMixSpreadsRowActivationsAcrossBanks)
+{
+    // The §3.1 bank-parallel claim over served traffic. Commands
+    // within one DRAM bank (= lock stripe) serialize while banks
+    // overlap, so a phase needs at least
+    // max(row_acts / banks, hottest_bank) row cycles; content hashing
+    // must spread even Zipf-hot keys over the 16 banks. The L2 is far
+    // below the working set, so the mix reaches the DRAM model. Under
+    // the HICAMP_FAULT_* environment this is also the fault soak:
+    // stores may answer SERVER_ERROR, but nothing desyncs and the
+    // exit audit stays clean.
+    MemoryConfig mc;
+    mc.numBuckets = 1 << 16;
+    mc.lockStripes = 16;
+    mc.l2Bytes = 128 * 1024;
+    Hicamp hc(mc);
+    McStore store(hc);
+    ServerConfig sc;
+    sc.workers = 4;
+    McServer srv(store, sc);
+    srv.start();
+
+    WebCorpus::Params cp;
+    cp.numItems = 250;
+    cp.minBytes = 128;
+    cp.maxBytes = 2048;
+    const auto items = WebCorpus::generate(cp);
+    McWorkloadParams wp; // the default §5.1.2 mix
+    wp.numRequests = 1200;
+    const auto reqs = generateMcRequests(items, wp);
+    // Every value a key can hold: its payload or one of its SETs.
+    std::vector<std::set<std::string>> legal(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        legal[i].insert(items[i].payload);
+    for (const McRequest &r : reqs)
+        if (r.op == McRequest::Op::Set)
+            legal[r.itemIndex].insert(r.newValue);
+
+    constexpr std::size_t kClients = 2;
+    std::atomic<std::uint64_t> desyncs{0};
+    const auto runClients = [&](const auto &body) {
+        std::vector<std::thread> ts;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            ts.emplace_back([&, c] {
+                LoopbackClient cli(srv.port());
+                if (!cli.ok() || !body(cli, c))
+                    ++desyncs;
+            });
+        }
+        for (auto &th : ts)
+            th.join();
+    };
+
+    // Preload: each client pipelines the SETs of its share of items.
+    runClients([&](LoopbackClient &cli, std::size_t c) {
+        std::string wire;
+        std::size_t pending = 0;
+        for (std::size_t i = c; i < items.size(); i += kClients, ++pending)
+            wire += setCommand(items[i].key, items[i].payload);
+        if (!cli.send(wire))
+            return false;
+        std::string line;
+        for (; pending > 0; --pending)
+            if (!cli.readLine(line) || (line != "STORED" && line != kOom))
+                return false;
+        return true;
+    });
+
+    // Steady state, closed loop: one request in flight per client.
+    std::vector<std::uint64_t> bank0(hc.mem.store().numStripes());
+    for (unsigned b = 0; b < bank0.size(); ++b)
+        bank0[b] = hc.mem.bankActivations(b);
+    const std::uint64_t rows0 = hc.mem.rowActivations();
+    runClients([&](LoopbackClient &cli, std::size_t c) {
+        for (std::size_t i = c; i < reqs.size(); i += kClients) {
+            const McRequest &r = reqs[i];
+            const std::string &key = items[r.itemIndex].key;
+            std::string wire;
+            switch (r.op) {
+              case McRequest::Op::Get:
+                wire = "get " + key + "\r\n";
+                break;
+              case McRequest::Op::Set:
+                wire = setCommand(key, r.newValue);
+                break;
+              case McRequest::Op::Delete:
+                wire = "delete " + key + "\r\n";
+                break;
+            }
+            if (!cli.send(wire) ||
+                !readReply(cli, r.op, key, legal[r.itemIndex]))
+                return false;
+        }
+        return true;
+    });
+    // Every reply is in, so the workers are idle: per-bank deltas of
+    // this phase alone.
+    const std::uint64_t rows = hc.mem.rowActivations() - rows0;
+    std::uint64_t hottest = 0;
+    for (unsigned b = 0; b < bank0.size(); ++b)
+        hottest = std::max(hottest, hc.mem.bankActivations(b) - bank0[b]);
+    srv.stop();
+
+    EXPECT_EQ(desyncs.load(), 0u);
+    ASSERT_GT(rows, 0u);
+    const double perBank =
+        static_cast<double>(rows) / static_cast<double>(bank0.size());
+    const double parallel =
+        static_cast<double>(rows) /
+        std::max(perBank, static_cast<double>(hottest));
+    RecordProperty("row_acts", std::to_string(rows));
+    RecordProperty("hottest_bank", std::to_string(hottest));
+    EXPECT_GE(parallel, 3.0)
+        << rows << " row activations, hottest bank " << hottest;
+    expectCleanAudit(hc);
+}
+
 using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kGetK = "get k\r\n";
@@ -341,7 +423,7 @@ TEST(ServerConcurrent, ParkedThreadsWakeForSimultaneousRequests)
     int wrong = 0, late = 0;
     Clock::duration worst{};
     {
-        RawClient a(srv.port()), b(srv.port());
+        LoopbackClient a(srv.port()), b(srv.port());
         ASSERT_TRUE(a.ok() && b.ok());
         for (int round = 0; round < 200; ++round) {
             std::this_thread::sleep_for(3 * McServer::kIdleWindow);
@@ -350,7 +432,7 @@ TEST(ServerConcurrent, ParkedThreadsWakeForSimultaneousRequests)
                 ++wrong;
                 break;
             }
-            for (RawClient *c : {&a, &b}) {
+            for (LoopbackClient *c : {&a, &b}) {
                 if (c->recvN(kReplyK.size()) != kReplyK)
                     ++wrong;
                 const auto dt = Clock::now() - t0;
@@ -398,7 +480,7 @@ TEST(ServerConcurrent, StopReturnsPromptlyWhileParked)
     McServer srv(store, sc);
     srv.start();
     {
-        RawClient c(srv.port());
+        LoopbackClient c(srv.port());
         ASSERT_TRUE(c.ok());
         ASSERT_TRUE(c.send(kGetK));
         EXPECT_EQ(c.recvN(kReplyK.size()), kReplyK);
@@ -464,7 +546,7 @@ TEST(ServerIdle, ThreadsSleepAfterLastReply)
             serving.push_back(t);
     ASSERT_EQ(serving.size(), sc.workers + 1u);
     {
-        RawClient c(srv.port());
+        LoopbackClient c(srv.port());
         ASSERT_TRUE(c.ok());
         ASSERT_TRUE(c.send(kGetK));
         EXPECT_EQ(c.recvN(kReplyK.size()), kReplyK);
@@ -515,7 +597,7 @@ TEST(ServerIdle, OneCpuRoundTripsStayFast)
     srv.start();
     std::vector<double> rttUs;
     {
-        RawClient c(srv.port());
+        LoopbackClient c(srv.port());
         ASSERT_TRUE(c.ok());
         for (int i = 0; i < 500; ++i) {
             const auto t0 = Clock::now();

@@ -10,16 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "audit_check.hh"
+#include "loopback_client.hh"
 #include "server/proto.hh"
 #include "server/server.hh"
 #include "server/store.hh"
@@ -215,79 +210,6 @@ TEST(ServerProto, NeedMoreConsumesNothingOnGoodCommands)
 // End-to-end over loopback
 // ---------------------------------------------------------------------
 
-/** Minimal blocking client for one test connection. */
-class TestClient
-{
-  public:
-    explicit TestClient(std::uint16_t port)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd_, 0);
-        timeval tv{5, 0};
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        EXPECT_EQ(::connect(fd_,
-                            reinterpret_cast<sockaddr *>(&addr),
-                            sizeof addr),
-                  0)
-            << std::strerror(errno);
-    }
-
-    ~TestClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    void
-    send(std::string_view bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            const ssize_t n =
-                ::write(fd_, bytes.data() + off, bytes.size() - off);
-            ASSERT_GT(n, 0);
-            off += static_cast<std::size_t>(n);
-        }
-    }
-
-    /** Read until @p bytes bytes arrived (or timeout fails the test). */
-    std::string
-    recvN(std::size_t bytes)
-    {
-        std::string out;
-        char buf[4096];
-        while (out.size() < bytes) {
-            const ssize_t n = ::read(fd_, buf, sizeof buf);
-            if (n <= 0)
-                break;
-            out.append(buf, static_cast<std::size_t>(n));
-        }
-        return out;
-    }
-
-    /** Read everything until the server closes the connection. */
-    std::string
-    recvUntilClose()
-    {
-        std::string out;
-        char buf[4096];
-        for (;;) {
-            const ssize_t n = ::read(fd_, buf, sizeof buf);
-            if (n <= 0)
-                break;
-            out.append(buf, static_cast<std::size_t>(n));
-        }
-        return out;
-    }
-
-  private:
-    int fd_ = -1;
-};
-
 struct ServerFixture {
     ServerFixture(unsigned workers = 2)
         : hc(smallConfig()), store(hc), srv(store, config(workers))
@@ -321,12 +243,12 @@ struct ServerFixture {
 TEST(ServerProto, EndToEndSetGetSplitAcrossWrites)
 {
     ServerFixture f;
-    TestClient cli(f.srv.port());
+    LoopbackClient cli(f.srv.port());
     // The set command and its data block arrive in three writes torn
     // at awkward places.
-    cli.send("set torn 3 0 1");
-    cli.send("1\r\nhello");
-    cli.send(" world\r\nget torn\r\nquit\r\n");
+    ASSERT_TRUE(cli.send("set torn 3 0 1"));
+    ASSERT_TRUE(cli.send("1\r\nhello"));
+    ASSERT_TRUE(cli.send(" world\r\nget torn\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got,
               "STORED\r\nVALUE torn 3 11\r\nhello world\r\nEND\r\n");
@@ -339,8 +261,8 @@ TEST(ServerProto, EndToEndPipelinedMultiGet)
     ServerFixture f;
     f.store.set("a", 1, "AA");
     f.store.set("c", 3, "CCCC");
-    TestClient cli(f.srv.port());
-    cli.send("get a b c\r\nget a\r\nquit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(cli.send("get a b c\r\nget a\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got, "VALUE a 1 2\r\nAA\r\n"
                    "VALUE c 3 4\r\nCCCC\r\nEND\r\n"
@@ -353,9 +275,9 @@ TEST(ServerProto, EndToEndQuitMidPipeline)
 {
     ServerFixture f;
     f.store.set("k", 0, "v");
-    TestClient cli(f.srv.port());
+    LoopbackClient cli(f.srv.port());
     // Everything before quit is answered; everything after is dead.
-    cli.send("get k\r\nquit\r\nget k\r\nget k\r\n");
+    ASSERT_TRUE(cli.send("get k\r\nquit\r\nget k\r\nget k\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got, "VALUE k 0 1\r\nv\r\nEND\r\n");
     f.srv.stop();
@@ -377,15 +299,15 @@ TEST(ServerProto, EndToEndBufferedCommandsBeyondPendingCapAnswered)
     store.set("k", 0, "v");
     const std::string reply = "VALUE k 0 1\r\nv\r\nEND\r\n";
     {
-        TestClient cli(srv.port());
+        LoopbackClient cli(srv.port());
         std::string script;
         for (int i = 0; i < 20; ++i)
             script += "get k\r\n";
-        cli.send(script);
+        ASSERT_TRUE(cli.send(script));
         std::string want;
         for (int i = 0; i < 20; ++i)
             want += reply;
-        // recvN gives up after the client's 5 s receive timeout.
+        // recvN gives up after the client's receive timeout.
         EXPECT_EQ(cli.recvN(want.size()), want);
     }
     srv.stop();
@@ -395,9 +317,9 @@ TEST(ServerProto, EndToEndBufferedCommandsBeyondPendingCapAnswered)
 TEST(ServerProto, EndToEndGarbageKeepsConnectionUsable)
 {
     ServerFixture f;
-    TestClient cli(f.srv.port());
-    cli.send("what even is this\r\nset k 0 0 2\r\nok\r\n"
-             "get k\r\nquit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(cli.send("what even is this\r\nset k 0 0 2\r\nok\r\n"
+                         "get k\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got, "ERROR\r\nSTORED\r\nVALUE k 0 2\r\nok\r\nEND\r\n");
     f.srv.stop();
@@ -407,18 +329,23 @@ TEST(ServerProto, EndToEndGarbageKeepsConnectionUsable)
 TEST(ServerProto, EndToEndAddReplaceIncrDelete)
 {
     ServerFixture f;
-    TestClient cli(f.srv.port());
-    cli.send("add n 0 0 2\r\n40\r\n"
-             "add n 0 0 2\r\n99\r\n"
-             "replace m 0 0 1\r\nx\r\n"
-             "incr n 2\r\n"
-             "decr n 100\r\n"
-             "delete n\r\n"
-             "delete n\r\n"
-             "quit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(cli.send("add n 0 0 2\r\n40\r\n"
+                         "add n 0 0 2\r\n99\r\n"
+                         "replace m 0 0 1\r\nx\r\n"
+                         "incr n 2\r\n"
+                         "decr n 100\r\n"
+                         "incr missing 1\r\n"
+                         "set w 0 0 20\r\n18446744073709551615\r\n"
+                         "incr w 2\r\n"
+                         "delete n\r\n"
+                         "delete n\r\n"
+                         "quit\r\n"));
     const std::string got = cli.recvUntilClose();
+    // decr saturates at zero; incr wraps at 2^64.
     EXPECT_EQ(got, "STORED\r\nNOT_STORED\r\nNOT_STORED\r\n"
-                   "42\r\n0\r\nDELETED\r\nNOT_FOUND\r\n");
+                   "42\r\n0\r\nNOT_FOUND\r\nSTORED\r\n1\r\n"
+                   "DELETED\r\nNOT_FOUND\r\n");
     f.srv.stop();
     expectCleanAudit(f.hc);
 }
@@ -426,10 +353,10 @@ TEST(ServerProto, EndToEndAddReplaceIncrDelete)
 TEST(ServerProto, EndToEndNoreplySuppressesResponses)
 {
     ServerFixture f;
-    TestClient cli(f.srv.port());
-    cli.send("set a 0 0 1 noreply\r\nA\r\n"
-             "set b 0 0 1 noreply\r\nB\r\n"
-             "get a b\r\nquit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(cli.send("set a 0 0 1 noreply\r\nA\r\n"
+                         "set b 0 0 1 noreply\r\nB\r\n"
+                         "get a b\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got,
               "VALUE a 0 1\r\nA\r\nVALUE b 0 1\r\nB\r\nEND\r\n");
@@ -441,8 +368,9 @@ TEST(ServerProto, EndToEndOversizedKeyAnswersClientError)
 {
     ServerFixture f;
     const std::string bigKey(kMaxKeyBytes + 1, 'z');
-    TestClient cli(f.srv.port());
-    cli.send("set " + bigKey + " 0 0 4\r\njunk\r\nget ok\r\nquit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(
+        cli.send("set " + bigKey + " 0 0 4\r\njunk\r\nget ok\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     EXPECT_EQ(got,
               "CLIENT_ERROR bad command line format\r\nEND\r\n");
@@ -453,8 +381,8 @@ TEST(ServerProto, EndToEndOversizedKeyAnswersClientError)
 TEST(ServerProto, EndToEndStatsServesBothRegistries)
 {
     ServerFixture f;
-    TestClient cli(f.srv.port());
-    cli.send("set k 0 0 1\r\nv\r\nget k\r\nstats\r\nquit\r\n");
+    LoopbackClient cli(f.srv.port());
+    ASSERT_TRUE(cli.send("set k 0 0 1\r\nv\r\nget k\r\nstats\r\nquit\r\n"));
     const std::string got = cli.recvUntilClose();
     const std::string head = "STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\n";
     ASSERT_EQ(got.compare(0, head.size(), head), 0) << got;
@@ -512,7 +440,7 @@ TEST(ServerProto, EndToEndFaultInjectionDegradesPerRequest)
     McServer srv(store, sc);
     srv.start();
     {
-        TestClient cli(srv.port());
+        LoopbackClient cli(srv.port());
         std::string script;
         for (int i = 0; i < 200; ++i) {
             const std::string payload(64 + i, 'p');
@@ -521,7 +449,7 @@ TEST(ServerProto, EndToEndFaultInjectionDegradesPerRequest)
                       payload + "\r\n";
         }
         script += "quit\r\n";
-        cli.send(script);
+        ASSERT_TRUE(cli.send(script));
         const std::string got = cli.recvUntilClose();
         std::size_t stored = 0, oom = 0, pos = 0;
         std::string line;

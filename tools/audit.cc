@@ -34,6 +34,7 @@
 #include "lang/hmap.hh"
 #include "lang/hstring.hh"
 #include "seg/iterator.hh"
+#include "server/store.hh"
 #include "workloads/memcached_workload.hh"
 #include "workloads/webcorpus.hh"
 
@@ -147,7 +148,7 @@ runMap(Hicamp &hc, const CliOptions &o, const Auditor::Options &aopts)
     return auditLive(hc, aopts);
 }
 
-/** The paper's memcached trace replayed onto an HMap. */
+/** The paper's memcached trace replayed through the server's store. */
 bool
 runMemcached(Hicamp &hc, const CliOptions &o,
              const Auditor::Options &aopts)
@@ -160,20 +161,21 @@ runMemcached(Hicamp &hc, const CliOptions &o,
     mp.numRequests = o.requests;
     auto reqs = generateMcRequests(items, mp);
 
-    HMap map(hc);
+    server::McStore store(hc);
+    IteratorRegister reg(hc.mem, hc.vsm);
     for (const auto &it : items)
-        map.set(HString(hc, it.key), HString(hc, it.payload));
+        store.set(it.key, 0, it.payload);
     for (const auto &r : reqs) {
-        HString key(hc, items[r.itemIndex].key);
+        const std::string &key = items[r.itemIndex].key;
         switch (r.op) {
           case McRequest::Op::Get:
-            map.get(key);
+            store.get(reg, key);
             break;
           case McRequest::Op::Set:
-            map.set(key, HString(hc, r.newValue));
+            store.set(key, 0, r.newValue);
             break;
           case McRequest::Op::Delete:
-            map.erase(key);
+            store.erase(key);
             break;
         }
     }

@@ -13,9 +13,9 @@
 #                   its own protocol checkers are not worth archiving
 #
 # Every bench's stdout is captured under $out_dir/bench-logs/,
-# bench_mt_scaling and bench_server write their own BENCH_*.json
-# trajectory files, and a BENCH_summary.json with per-bench pass/fail
-# status is emitted. Every BENCH_*.json present afterwards must parse
+# bench_mt_scaling writes its own BENCH_mt_scaling.json trajectory
+# file, and a BENCH_summary.json with per-bench pass/fail status is
+# emitted. Every BENCH_*.json present afterwards must parse
 # as non-empty JSON or the suite fails.
 #
 # A bench fails if its process exits non-zero OR its output contains a
@@ -119,13 +119,11 @@ for b in "${benches[@]}"; do
     run_one "$b"
 done
 
-# These benches own their JSON trajectory files.
+# This bench owns its JSON trajectory file.
 if [ "$quick" = 1 ]; then
     run_one bench_mt_scaling --smoke --json "$out_dir/BENCH_mt_scaling.json"
-    run_one bench_server --smoke --json "$out_dir/BENCH_server.json"
 else
     run_one bench_mt_scaling --json "$out_dir/BENCH_mt_scaling.json"
-    run_one bench_server --json "$out_dir/BENCH_server.json"
 fi
 
 # Every JSON artifact a bench produced must parse and be non-empty: a
@@ -155,7 +153,7 @@ done
     echo '  "benches": {'
     n=${#status[@]}
     i=0
-    for b in "${benches[@]}" bench_mt_scaling bench_server; do
+    for b in "${benches[@]}" bench_mt_scaling; do
         i=$((i + 1))
         sep=$([ "$i" -lt "$n" ] && echo , || echo '')
         echo "    \"$b\": \"${status[$b]}\"$sep"
@@ -170,7 +168,7 @@ done
 failed=0
 echo
 echo "== bench summary =="
-for b in "${benches[@]}" bench_mt_scaling bench_server; do
+for b in "${benches[@]}" bench_mt_scaling; do
     case "${status[$b]}" in
       ok)      printf '   PASS  %s\n' "$b" ;;
       missing) printf '   MISS  %s\n' "$b"; failed=1 ;;

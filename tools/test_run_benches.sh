@@ -39,7 +39,6 @@ all_benches=(
     bench_ablation_compaction
     bench_ablation_sharding
     bench_mt_scaling
-    bench_server
 )
 
 make_stubs() {
@@ -107,26 +106,26 @@ check "non-zero bench exit fails the suite" $?
 build4=$scratch/build-badjson
 out4=$scratch/out-badjson
 make_stubs "$build4"
-cat > "$build4/bench/bench_server" <<'EOF'
+cat > "$build4/bench/bench_mt_scaling" <<'EOF'
 #!/usr/bin/env bash
 # Consume --smoke --json PATH like the real bench, then truncate the
 # artifact mid-object (a crash between fopen and the final brace).
 while [ $# -gt 0 ]; do
     case "$1" in
-      --json) shift; printf '{"bench": "server", "resul' > "$1" ;;
+      --json) shift; printf '{"bench": "mt_scaling", "resul' > "$1" ;;
     esac
     shift
 done
 echo "stub bench: wrote a truncated artifact"
 exit 0
 EOF
-chmod +x "$build4/bench/bench_server"
+chmod +x "$build4/bench/bench_mt_scaling"
 rc=0
 "$script" --quick --build-dir "$build4" --out-dir "$out4" \
     > "$scratch/badjson.log" 2>&1 || rc=$?
 [ "$rc" -ne 0 ]
 check "truncated BENCH_*.json fails the suite" $?
-grep -q 'BAD   BENCH_server.json' "$scratch/badjson.log"
+grep -q 'BAD   BENCH_mt_scaling.json' "$scratch/badjson.log"
 check "validation names the bad artifact" $?
 
 # --- case 5: --out-dir keeps everything out of the repo root ---------
